@@ -16,7 +16,8 @@ sync (``wal.fsync``) keeps it (process death doesn't drop flushed OS
 buffers); a kill between checkpoint export and WAL truncation loses
 nothing (the watermark skips the double-covered records); a kill during
 replay is free (replay never writes); a parent kill during a heartbeat
-loses nothing remote (workers auto-export every committed mutation).
+loses nothing remote (each worker acknowledges a mutation only once its
+own WAL holds it, and the next worker recovers from that WAL).
 
 **Timing** - replay-from-WAL against a warm pipeline cache must beat a
 cold rebuild (empty cache, full pipeline per admission) by
@@ -199,7 +200,7 @@ elif mode == "remote-recover":
     wall = time.perf_counter() - start
     write(os.path.join(root, "recovered.bin"), blob)
     k = sum(
-        len(sup.call("admitted", framework=fw)["specs"])
+        len(sup.call("snapshot", framework=fw)["snapshot"]["workload_ids"])
         for sup in sups
         for fw in sorted(sup.call("ping")["frameworks"])
     )
@@ -289,7 +290,7 @@ def _local_site(site: str, root: str, scale: float, expect: str) -> dict:
 
 
 def _remote_site(root: str, scale: float) -> dict:
-    """Parent SIGKILLed mid-heartbeat; workers' auto-exports survive."""
+    """Parent SIGKILLed mid-heartbeat; workers' WALs survive."""
     plan, _, _ = KILL_MATRIX["remote.heartbeat"]
     expect = os.path.join(root, "expect-remote")
     _run_child("remote-traffic", root, scale, expect,

@@ -2,10 +2,11 @@
 
 Pushes the store federation out of process: two shard workers speak the
 length-prefixed RDBC protocol, the federation routes each framework to a
-worker by consistent hash of its build fingerprint, and every committed
-mutation is auto-exported.  The example then SIGKILLs a worker to show
-the recovery contract (typed ``RemoteShardError``, respawn, ledger
-replay, byte-identical image) and finishes with the snapshot story: a
+worker by consistent hash of its build fingerprint, and every worker
+journals each committed mutation to its own write-ahead log.  The
+example then SIGKILLs a worker to show the recovery contract (typed
+``RemoteShardError``, respawn, WAL replay inside the new worker,
+byte-identical image) and finishes with the snapshot story: a
 fresh replica imports the export and serves with **zero workload runs**.
 
 Run:  python examples/remote_federation.py
@@ -71,7 +72,7 @@ def main() -> None:
             time.sleep(0.2)
 
             # The next touch surfaces a typed transient error; the retry
-            # respawns the worker and replays its admissions ledger.
+            # respawns the worker, which replays its own WAL on boot.
             result = admit_with_retry(engine, WORKLOADS[0])
             remote = engine.health()["remote"]
             print(f"  recovered: restarts={remote['restarts']} "

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.core.debloat import DebloatOptions
 from repro.cuda.arch import SHIPPED_ARCHITECTURES
 from repro.errors import ConfigurationError
-from repro.experiments.common import DEFAULT_SCALE
+from repro.experiments.common import DEFAULT_SCALE, check_scale
 from repro.utils.retry import RetryPolicy
 
 #: Modes :class:`EvictionPolicy` accepts.
@@ -302,9 +302,12 @@ class EngineConfig:
     * **federation** - ``remote_shards`` (run framework stores in that
       many worker processes, consistent-hash routed by build
       fingerprint; 0 = everything in-process) and ``snapshot_dir`` (root
-      for warm store snapshots: workers auto-export under
-      ``<dir>/workers/<name>`` and recover from there after a crash;
-      engine-level export/import defaults to ``<dir>/federation``);
+      for warm store state: each worker keeps its WAL and checkpoints
+      under ``<dir>/workers/<name>`` - or under
+      ``durability.directory``'s ``workers/`` when there is no
+      ``snapshot_dir``, or a temp dir when neither is set - and recovers
+      from there after a crash; engine-level export/import defaults to
+      ``<dir>/federation``);
     * **durability / liveness** - ``durability``
       (:class:`DurabilityConfig`: per-shard write-ahead log with
       automatic crash recovery on ``open()`` and background
@@ -332,8 +335,7 @@ class EngineConfig:
     liveness: LivenessConfig = field(default_factory=LivenessConfig)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        check_scale(self.scale)
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.batch_max < 1:

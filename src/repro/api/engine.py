@@ -103,18 +103,25 @@ class DebloatEngine:
 
             from repro.serving.remote import RemoteShardPool
 
-            snapshot_root = (
-                os.path.join(self.config.snapshot_dir, "workers")
-                if self.config.snapshot_dir is not None
-                else None
+            durability = self.config.durability
+            # Worker WALs live beside the engine's durable state; only an
+            # engine with no directory at all gives the pool a temp dir.
+            base = self.config.snapshot_dir or durability.directory
+            workers_root = (
+                os.path.join(base, "workers") if base is not None else None
             )
             liveness = self.config.liveness
+            # Workers journal every mutation; without engine durability
+            # they still sync each append, since the worker WAL is the
+            # only record of an acknowledged remote admission.
             self._remote_pool = RemoteShardPool(
                 self.config.remote_shards,
                 scale=self.config.scale,
                 archs=tuple(self.config.archs),
                 use_cache=self.config.use_cache,
-                snapshot_root=snapshot_root,
+                root=workers_root,
+                fsync=durability.fsync if durability.enabled else "always",
+                fsync_batch_n=durability.fsync_batch_n,
                 op_deadline_s=liveness.op_deadline_s,
                 breaker_threshold=liveness.breaker_threshold,
                 breaker_cooldown_s=liveness.breaker_cooldown_s,
@@ -373,9 +380,10 @@ class DebloatEngine:
     def checkpoint(self) -> EngineResult:
         """Snapshot every durable shard, then truncate its WAL, once, now.
 
-        Requires ``config.durability.enabled``; the background
-        checkpointer (``durability.checkpoint_interval_s``) runs exactly
-        this on a cadence.
+        Local shards checkpoint in-process; every live remote worker
+        checkpoints its own WAL.  Requires ``config.durability.enabled``;
+        the background checkpointer (``durability.checkpoint_interval_s``)
+        runs exactly this on a cadence.
         """
         self._ensure_open()
         if self._durability is None:

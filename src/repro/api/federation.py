@@ -260,9 +260,10 @@ class FederationShard:
         self.last_error = f"{type(error).__name__}: {error}"
 
     def note_success(self) -> None:
+        # Read first: a remote read that fails leaves the state untouched.
+        self.last_good = self.store.snapshot()
         self.state = "ok"
         self.consecutive_failures = 0
-        self.last_good = self.store.snapshot()
 
 
 class StoreFederation:
@@ -378,6 +379,11 @@ class StoreFederation:
             if self._durability is not None:
                 self._durability.attach(shard)
             return shard
+
+    @property
+    def remote_pool(self):
+        """The attached :class:`~repro.serving.remote.RemoteShardPool`."""
+        return self._remote_pool
 
     def local_shards(self) -> list[FederationShard]:
         """Every registered in-process shard (checkpointing walks these)."""
@@ -503,7 +509,13 @@ class StoreFederation:
         with self._lock:
             shard = self._shards.get(spec.framework)
             if shard is not None:
-                shard.note_success()
+                try:
+                    shard.note_success()
+                except TransientError:
+                    # A remote shard's read can fail after the admission
+                    # landed; it stands, and the next success marks the
+                    # shard healthy and refreshes its last-good epoch.
+                    pass
 
     def touch(self, workload_id: str, framework: str | None = None) -> int:
         """Refresh last-served timestamps without admitting (read traffic)."""

@@ -279,8 +279,8 @@ class SnapshotError(ReproError):
     Unlike :class:`CacheError` (where the fallback is silent
     recomputation), a snapshot is an explicit import request: a missing
     manifest, a digest mismatch, or a corrupt shard container surfaces to
-    the caller - except during crash recovery, where the supervisor falls
-    back to a cold ledger replay.
+    the caller - except during crash recovery, where a corrupt checkpoint
+    shard falls back to a full write-ahead log replay.
     """
 
 
@@ -302,6 +302,16 @@ class WalError(ReproError):
     corrupt tails are **not** errors - recovery silently keeps the longest
     valid prefix and quarantines the rest (see
     :func:`repro.serving.wal.scan_wal`).
+    """
+
+
+class WalAppendError(WalError, TransientError):
+    """Journaling a mutation failed, so the mutation was rolled back.
+
+    A store with a write-ahead log acknowledges a mutation only once its
+    record is appended (and, under ``fsync="always"``, synced).  When the
+    append or the sync fails, the transaction is undone and this error is
+    raised instead; it is transient, so a retry policy re-drives the call.
     """
 
 

@@ -14,7 +14,13 @@ import argparse
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.errors import ConfigurationError
+from repro.experiments.common import check_scale
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    experiment_module,
+    run_experiment,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,9 +105,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{eid:28s} {module.TITLE}")
         return 0
 
-    configure_cache(args)
-
     ids = list(EXPERIMENTS) if args.ids == ["all"] or args.ids == [] else args.ids
+    # Bad input is rejected before any experiment runs: one line on
+    # stderr and exit status 2, the argparse convention for usage errors.
+    try:
+        for eid in ids:
+            experiment_module(eid)
+        if args.scale is not None:
+            check_scale(args.scale)
+    except ConfigurationError as err:
+        print(f"repro-experiments: error: {err}", file=sys.stderr)
+        return 2
+
+    configure_cache(args)
     chunks: list[str] = []
     for eid in ids:
         start = time.time()

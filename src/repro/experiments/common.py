@@ -41,12 +41,14 @@ only ever costs or saves recomputation.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
 from repro.core.debloat import Debloater, DebloatOptions
 from repro.core.report import WorkloadDebloatReport
 from repro.cuda.arch import SHIPPED_ARCHITECTURES
+from repro.errors import ConfigurationError
 from repro.experiments.diskcache import DiskReportCache
 from repro.frameworks.catalog import framework_build_fingerprint, get_framework
 from repro.frameworks.spec import Framework
@@ -60,6 +62,21 @@ from repro.workloads.spec import TABLE1_WORKLOADS, WorkloadSpec
 #: all reduction *percentages* are scale-invariant.  Use ``--scale 1.0`` for
 #: paper-magnitude counts.
 DEFAULT_SCALE = 0.125
+
+
+def check_scale(scale: float) -> float:
+    """``scale`` itself if it is a usable entity-count scale.
+
+    Catalog generation sizes every entity list by ``scale``; zero, a
+    negative, or a non-finite value would fail deep inside it, so entry
+    points reject it here as a :class:`ConfigurationError` instead.
+    """
+    if not (isinstance(scale, (int, float)) and math.isfinite(scale)
+            and scale > 0):
+        raise ConfigurationError(
+            f"scale must be a positive number, got {scale!r}"
+        )
+    return scale
 
 
 @dataclass

@@ -27,6 +27,7 @@ from repro.experiments import (
     table10_distributed,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.common import check_scale
 
 EXPERIMENTS: dict[str, ModuleType] = {
     module.ID: module
@@ -55,6 +56,17 @@ EXPERIMENTS: dict[str, ModuleType] = {
 }
 
 
+def experiment_module(experiment_id: str):
+    """The module implementing ``experiment_id``, or ConfigurationError."""
+    module = EXPERIMENTS.get(experiment_id)
+    if module is None:
+        raise ConfigurationError(
+            f"unknown experiment {experiment_id!r}; "
+            f"known: {sorted(EXPERIMENTS)}"
+        )
+    return module
+
+
 def run_experiment(
     experiment_id: str, scale: float | None = None, fresh: bool = False
 ) -> str:
@@ -65,15 +77,11 @@ def run_experiment(
     invalidate the cache first and force this experiment to recompute every
     pipeline it touches (outputs are byte-identical either way).
     """
-    module = EXPERIMENTS.get(experiment_id)
-    if module is None:
-        raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
-        )
+    module = experiment_module(experiment_id)
     if fresh:
         from repro.experiments.common import PIPELINE_CACHE
 
         PIPELINE_CACHE.invalidate()
     if scale is None:
         return module.run()
-    return module.run(scale=scale)
+    return module.run(scale=check_scale(scale))

@@ -206,7 +206,7 @@ class DebloatHttpServer:
         m.describe("serving_wal_lag",
                    "WAL records not yet folded into a checkpoint")
         m.describe("serving_wal_failures",
-                   "WAL appends that failed after the store committed")
+                   "WAL appends that failed (the mutation was rolled back)")
         m.describe("serving_wal_quarantined_bytes",
                    "torn WAL tail bytes quarantined during recovery")
         m.describe("serving_wal_replayed",

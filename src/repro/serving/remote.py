@@ -22,15 +22,20 @@ Parent-side layers, bottom up:
   :class:`~repro.errors.TransientError`, so the serving tier's retry
   policy re-drives the call instead of surfacing a raw ``OSError``.
 * :class:`RemoteShardSupervisor` - owns one worker slot: lazy spawn
-  (``shard.spawn`` fault site), crash detection, and **warm restart**: a
-  replacement worker imports the shard's last exported snapshot on boot
-  (zero workload runs), then the supervisor replays the
-  committed-but-unexported tail of its parent-side admission ledger.
-  Workers auto-export after every committed mutation, so that tail is at
-  most the admission that was in flight when the worker died - and
-  re-admission is idempotent, so the retried call converges on a store
-  byte-identical to a crash-free run.  The supervisor also runs the
-  liveness layer: :meth:`~RemoteShardSupervisor.heartbeat` probes the
+  (``shard.spawn`` fault site), crash detection, and **warm restart**.
+  Each worker journals every committed mutation to a write-ahead log in
+  its own directory through the same
+  :class:`~repro.serving.wal.DurabilityController` local shards use, and
+  acknowledges a mutation only once its record is appended.  A
+  replacement worker recovers on boot exactly as ``DebloatEngine.open()``
+  does - newest checkpoint, then the WAL tail replayed through the warm
+  pipeline cache (zero workload runs) - so a SIGKILLed shard comes back
+  byte-identical to its last acknowledged state, and the parent only
+  respawns.  Recovery time stays bounded: a worker checkpoints itself
+  every :data:`CHECKPOINT_EVERY_RECORDS` journaled records and right
+  after any boot that replayed records, and while it recovers it sends
+  progress frames that renew the parent's boot deadline.  The supervisor also runs the liveness layer:
+  :meth:`~RemoteShardSupervisor.heartbeat` probes the
   worker's ``ping`` op (``remote.heartbeat`` fault site), and a
   per-worker **circuit breaker** opens after a threshold of consecutive
   transport failures - calls fast-fail with :class:`RemoteShardError`
@@ -49,6 +54,8 @@ Parent-side layers, bottom up:
 Workers deliberately do **not** activate ``REPRO_FAULT_PLAN``: the
 instrumented boundary is the parent side (send/recv/spawn/snapshot.read),
 and keeping workers fault-free makes injected-fault runs deterministic.
+A worker activates a plan only when its spawn config names one
+(``fault_plan``), which is how tests rehearse worker-side WAL faults.
 """
 
 from __future__ import annotations
@@ -57,10 +64,12 @@ import bisect
 import json
 import os
 import select
+import shutil
 import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from types import MappingProxyType
@@ -71,7 +80,6 @@ from repro.errors import (
     FaultError,
     RemoteShardError,
     ReproError,
-    SnapshotError,
     TransientError,
     UsageError,
 )
@@ -242,69 +250,146 @@ _EMPTY_SNAPSHOT = StoreSnapshot(
 # ---------------------------------------------------------------------------
 
 
+#: A worker checkpoints itself once its write-ahead logs hold this many
+#: records, whether or not the engine checkpoints on a cadence, so a
+#: respawned worker never has more than this to replay.
+CHECKPOINT_EVERY_RECORDS = 64
+
+
+class _WorkerShard:
+    """One framework's store inside a worker (the durability shard shape)."""
+
+    remote = False
+
+    def __init__(self, store) -> None:
+        self.store = store
+
+
 class ShardWorker:
-    """The in-worker service: one store per framework, plus auto-export."""
+    """The in-worker service: one store per framework, journaled to a WAL.
+
+    ``config["directory"]`` holds the worker's ``wal/`` and
+    ``checkpoint/`` trees.  The worker is the federation its
+    :class:`~repro.serving.wal.DurabilityController` recovers and
+    checkpoints (``shard`` / ``warm_shard`` / ``local_shards``), so every
+    store journals its committed mutations from the first admission and
+    :meth:`recover` rebuilds them after a restart.
+    """
+
+    #: Workers host no remote shards of their own.
+    remote_pool = None
 
     def __init__(self, config: dict) -> None:
+        from repro.serving.wal import DurabilityController
+
         self.name = config.get("name", "shard")
         self.scale = float(config["scale"])
         self.archs = tuple(int(a) for a in config["archs"])
         self.use_cache = bool(config.get("use_cache", True))
-        self.snapshot_dir = config.get("snapshot_dir")
-        self._stores: dict[str, object] = {}
+        self.durability = DurabilityController(
+            config["directory"],
+            fsync=config.get("fsync", "always"),
+            fsync_batch_n=int(config.get("fsync_batch_n", 8)),
+        )
+        self._shards: dict[str, _WorkerShard] = {}
 
-    def store(self, framework_name: str):
+    def shard(self, framework_name: str) -> _WorkerShard:
         from repro.frameworks.catalog import get_framework
         from repro.serving.store import DebloatStore
 
-        store = self._stores.get(framework_name)
-        if store is None:
+        shard = self._shards.get(framework_name)
+        if shard is None:
             framework = get_framework(
                 framework_name, scale=self.scale, archs=self.archs
             )
-            store = DebloatStore(framework, use_cache=self.use_cache)
-            self._stores[framework_name] = store
-        return store
+            shard = _WorkerShard(
+                DebloatStore(framework, use_cache=self.use_cache)
+            )
+            self._shards[framework_name] = shard
+            self.durability.attach(shard)
+        return shard
 
-    def restore(self) -> None:
-        """Warm boot: import the last exported snapshot, if one exists.
+    def warm_shard(self, framework_name: str) -> int:
+        return self._shards[framework_name].store.generation
 
-        A missing or unusable snapshot means a cold start - the
-        supervisor's ledger replay covers the difference - so every
-        failure here is swallowed after a note to stderr.
+    def local_shards(self) -> list[_WorkerShard]:
+        return list(self._shards.values())
+
+    def store(self, framework_name: str):
+        return self.shard(framework_name).store
+
+    def _existing(self, framework_name: str):
+        """The framework's store if the worker hosts one (never creates)."""
+        shard = self._shards.get(framework_name)
+        return shard.store if shard is not None else None
+
+    def recover(self, progress=None) -> dict:
+        """Boot-time recovery: newest checkpoint plus the WAL tail.
+
+        ``progress`` is called as recovery advances (see
+        :meth:`DurabilityController.recover`).  A worker with no durable
+        state of its own imports a snapshot an older release auto-exported
+        into its directory, once.  Whatever recovery replayed or imported
+        is folded into a fresh checkpoint before the worker serves, so a
+        worker that crashes again never redoes that work.
         """
-        from repro.serving import snapshot as snapshot_mod
+        report = self.durability.recover(self, progress)
+        if not report["frameworks"]:
+            report["legacy_imported"] = self._import_legacy()
+        if report["replayed"] or report.get("legacy_imported"):
+            if progress is not None:
+                progress()
+            self._checkpoint()
+        return report
 
-        if not self.snapshot_dir or not snapshot_mod.snapshot_exists(
-            self.snapshot_dir
-        ):
-            return
+    def _import_legacy(self) -> list[str]:
+        """Import a pre-WAL auto-export left at the directory's top level."""
+        from repro.serving import snapshot as snapshots
+
+        root = self.durability.root
+        if not snapshots.snapshot_exists(root):
+            return []
         try:
-            for name, payload in snapshot_mod.load_snapshot(
-                self.snapshot_dir
-            ).items():
+            payloads = snapshots.load_snapshot(root)
+        except (ReproError, OSError) as exc:
+            payloads = {}
+            self._note(f"ignoring unreadable legacy snapshot in {root}", exc)
+        imported = []
+        for name, payload in sorted(payloads.items()):
+            try:
                 self.store(name).import_state(payload)
-        except (SnapshotError, ReproError, OSError) as exc:
-            self._stores.clear()
+                imported.append(name)
+            except (ReproError, OSError) as exc:
+                self._note(f"skipping legacy {name} image in {root}", exc)
+        if imported:
             print(
-                f"[{self.name}] snapshot restore failed, starting cold: "
-                f"{type(exc).__name__}: {exc}",
+                f"[{self.name}] imported the legacy snapshot in {root} "
+                f"({', '.join(imported)}); it is not read again",
                 file=sys.stderr,
             )
+        return imported
 
-    def export(self) -> dict | None:
-        """Write every store's current epoch to the snapshot directory."""
-        from repro.serving import snapshot as snapshot_mod
-
-        if not self.snapshot_dir:
-            return None
-        return snapshot_mod.write_snapshot(
-            self.snapshot_dir,
-            {
-                name: store.export_state()
-                for name, store in self._stores.items()
-            },
+    def _note(self, what: str, exc: BaseException) -> None:
+        print(
+            f"[{self.name}] {what}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
         )
+
+    def settle(self) -> None:
+        """Between requests: checkpoint once the WALs hold enough records."""
+        if self.durability.wal_lag() >= CHECKPOINT_EVERY_RECORDS:
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        # A failed checkpoint leaves every record in the WAL, so it only
+        # costs replay time: note it and carry on serving.
+        try:
+            self.durability.checkpoint(self)
+        except (ReproError, OSError) as exc:
+            self._note("checkpoint failed", exc)
+
+    def close(self) -> None:
+        self.durability.close()
 
     # -- request dispatch -----------------------------------------------------
 
@@ -315,17 +400,13 @@ class ShardWorker:
             raise UsageError(f"unknown remote op {op!r}")
         return handler(request)
 
-    def _mutated(self) -> None:
-        self.export()
-
     def _op_ping(self, request: dict) -> dict:
-        return {"pid": os.getpid(), "frameworks": sorted(self._stores)}
+        return {"pid": os.getpid(), "frameworks": sorted(self._shards)}
 
     def _op_admit(self, request: dict) -> dict:
         store = self.store(request["framework"])
         spec = serialize.spec_from_payload(request["spec"])
         result = store.admit(spec, verify=bool(request.get("verify")))
-        self._mutated()
         return {"result": admission_to_payload(result)}
 
     def _op_admit_many(self, request: dict) -> dict:
@@ -334,33 +415,25 @@ class ShardWorker:
             serialize.spec_from_payload(p) for p in request["specs"]
         ]
         results = store.admit_many(specs, verify=bool(request.get("verify")))
-        self._mutated()
         return {"results": [admission_to_payload(r) for r in results]}
 
     def _op_evict(self, request: dict) -> dict:
         store = self.store(request["framework"])
         result = store.evict(request["workload_id"])
-        self._mutated()
         return {"result": eviction_to_payload(result)}
 
     def _op_reset(self, request: dict) -> dict:
         self.store(request["framework"]).reset()
-        self._mutated()
         return {}
 
     def _op_snapshot(self, request: dict) -> dict:
-        store = self._stores.get(request["framework"])
+        store = self._existing(request["framework"])
         snap = store.snapshot() if store is not None else _EMPTY_SNAPSHOT
         return {"snapshot": store_snapshot_to_payload(snap)}
 
     def _op_stats(self, request: dict) -> dict:
-        store = self._stores.get(request["framework"])
+        store = self._existing(request["framework"])
         return {"stats": dict(store.stats()) if store is not None else {}}
-
-    def _op_admitted(self, request: dict) -> dict:
-        store = self._stores.get(request["framework"])
-        specs = store.admitted_specs() if store is not None else ()
-        return {"specs": [serialize.spec_to_payload(s) for s in specs]}
 
     def _op_report(self, request: dict) -> dict:
         store = self.store(request["framework"])
@@ -374,11 +447,10 @@ class ShardWorker:
 
     def _op_push_state(self, request: dict) -> dict:
         self.store(request["framework"]).import_state(request["state"])
-        self._mutated()
         return {}
 
-    def _op_export_snapshot(self, request: dict) -> dict:
-        return {"manifest": self.export()}
+    def _op_checkpoint(self, request: dict) -> dict:
+        return {"checkpoint": self.durability.checkpoint(self)}
 
 
 def serve(worker: ShardWorker, inp, out) -> None:
@@ -406,6 +478,7 @@ def serve(worker: ShardWorker, inp, out) -> None:
                 )
             response = {"ok": False, "error": error}
         write_frame(out, response, REMOTE_RESPONSE_KIND)
+        worker.settle()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -419,9 +492,25 @@ def main(argv: list[str] | None = None) -> int:
     inp = os.fdopen(os.dup(0), "rb", buffering=0)
     out = os.fdopen(os.dup(1), "wb", buffering=0)
     sys.stdout = sys.stderr
+    if config.get("fault_plan"):
+        faults.activate(faults.parse_plan(config["fault_plan"]))
     worker = ShardWorker(config)
-    worker.restore()
-    serve(worker, inp, out)
+
+    def booting() -> None:
+        write_frame(out, {"progress": True}, REMOTE_RESPONSE_KIND)
+
+    try:
+        # Progress frames while recovery runs, then the boot handshake:
+        # recovery finished, requests may flow.
+        report = worker.recover(booting)
+        write_frame(
+            out,
+            {"ok": True, "value": {"pid": os.getpid(), "recovery": report}},
+            REMOTE_RESPONSE_KIND,
+        )
+        serve(worker, inp, out)
+    finally:
+        worker.close()
     return 0
 
 
@@ -455,6 +544,12 @@ class RemoteShardProcess:
     processes one request at a time anyway).  The pipes run non-blocking
     with ``select``-paced I/O, so ``op_deadline_s`` bounds every
     send+recv: a wedged worker raises instead of hanging its caller.
+    Construction waits for the worker's boot handshake (sent once its
+    WAL recovery finished).  The worker sends a progress frame before
+    each replayed record, and each frame renews the ``op_deadline_s``
+    budget, so a long recovery boots while a stuck one still times out;
+    recovery never counts against the first request's deadline.
+    :attr:`recovery` holds the worker's recovery report.
     Any transport failure marks the process ``broken`` - the stream may
     be desynchronized, so the only safe recovery is a supervisor
     restart - and surfaces as :class:`RemoteShardError`.
@@ -489,6 +584,21 @@ class RemoteShardProcess:
         os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
         self.pid = self._proc.pid
+        try:
+            hello = {"progress": True}
+            while hello.get("progress"):
+                deadline = (
+                    time.monotonic() + op_deadline_s
+                    if op_deadline_s is not None
+                    else None
+                )
+                hello = self._recv_frame(REMOTE_RESPONSE_KIND, deadline)
+        except Exception as exc:
+            self.kill()
+            raise RemoteShardError(
+                name, f"worker failed to boot: {type(exc).__name__}: {exc}"
+            ) from exc
+        self.recovery: dict = hello["value"]["recovery"]
 
     @property
     def alive(self) -> bool:
@@ -688,10 +798,6 @@ class RemoteShardSupervisor:
         self._lock = threading.RLock()
         self._proc: RemoteShardProcess | None = None
         self.restarts = 0
-        #: framework -> the admission sequence this shard has committed,
-        #: mirrored parent-side so a restart can replay the tail that
-        #: missed the worker's last snapshot export.
-        self._ledgers: dict[str, list] = {}
         self.op_deadline_s = op_deadline_s
         self._breaker_threshold = breaker_threshold
         self._breaker_cooldown_s = breaker_cooldown_s
@@ -706,8 +812,9 @@ class RemoteShardSupervisor:
         self.last_heartbeat_error: str | None = None
 
     @property
-    def snapshot_dir(self) -> str | None:
-        return self._config.get("snapshot_dir")
+    def directory(self) -> str:
+        """The worker's durability directory (``wal/`` + ``checkpoint/``)."""
+        return self._config["directory"]
 
     @property
     def alive(self) -> bool:
@@ -719,26 +826,25 @@ class RemoteShardSupervisor:
         proc = self._proc
         return proc.pid if proc is not None else None
 
+    @property
+    def recovery(self) -> dict | None:
+        """The running worker's boot-time WAL recovery report."""
+        proc = self._proc
+        return proc.recovery if proc is not None else None
+
     def process(self) -> RemoteShardProcess:
-        """The live worker, spawning (and warm-restoring) as needed."""
+        """The live worker, spawning as needed (it recovers on boot)."""
         with self._lock:
             if self._proc is not None and not self._proc.alive:
                 self._proc.kill()
                 self._proc = None
                 self.restarts += 1
             if self._proc is None:
-                # The worker imports its own snapshot on boot; the
-                # parent then replays whatever the snapshot missed.
                 self._proc = RemoteShardProcess(
                     self.name,
                     self._config,
                     op_deadline_s=self.op_deadline_s,
                 )
-                try:
-                    self._replay_locked(self._proc)
-                except BaseException:
-                    self._proc.broken = True
-                    raise
             return self._proc
 
     def call(
@@ -832,50 +938,6 @@ class RemoteShardSupervisor:
         self._breaker_success()
         return {"state": "ok", "ok": True, "pid": value.get("pid")}
 
-    def _replay_locked(self, proc: RemoteShardProcess) -> None:
-        """Re-admit the ledger tail a fresh worker's snapshot lacks.
-
-        Usage is served from the warm pipeline cache the worker
-        inherits, so replay costs no workload runs either; and because
-        admission order and content are replayed exactly, the recovered
-        store is byte-identical to one that never crashed.
-        """
-        for framework, ledger in self._ledgers.items():
-            if not ledger:
-                continue
-            wanted = [serialize.spec_to_payload(s) for s in ledger]
-            have = proc.call("admitted", framework=framework)["specs"]
-            if have == wanted:
-                continue
-            if have == wanted[: len(have)]:
-                missing = ledger[len(have):]
-            else:  # diverged image (stale/foreign snapshot): rebuild
-                proc.call("reset", framework=framework)
-                missing = ledger
-            proc.call(
-                "admit_many",
-                framework=framework,
-                specs=[serialize.spec_to_payload(s) for s in missing],
-                verify=False,
-            )
-
-    # -- ledger bookkeeping (called by the client after committed ops) -------
-
-    def record_admissions(self, framework: str, specs) -> None:
-        with self._lock:
-            self._ledgers.setdefault(framework, []).extend(specs)
-
-    def record_eviction(self, framework: str, workload_id: str) -> None:
-        with self._lock:
-            ledger = self._ledgers.get(framework, [])
-            self._ledgers[framework] = [
-                s for s in ledger if s.workload_id != workload_id
-            ]
-
-    def record_state(self, framework: str, specs) -> None:
-        with self._lock:
-            self._ledgers[framework] = list(specs)
-
     def kill(self) -> None:
         """SIGKILL the worker if running (tests / fault drills)."""
         with self._lock:
@@ -913,7 +975,6 @@ class RemoteStoreClient:
         value = self._call(
             "admit", spec=serialize.spec_to_payload(spec), verify=verify
         )
-        self._sup.record_admissions(self.framework_name, [spec])
         return admission_from_payload(value["result"])
 
     def admit_many(self, specs, verify: bool = False):
@@ -922,17 +983,14 @@ class RemoteStoreClient:
             specs=[serialize.spec_to_payload(s) for s in specs],
             verify=verify,
         )
-        self._sup.record_admissions(self.framework_name, list(specs))
         return [admission_from_payload(p) for p in value["results"]]
 
     def evict(self, workload_id: str) -> EvictionResult:
         value = self._call("evict", workload_id=workload_id)
-        self._sup.record_eviction(self.framework_name, workload_id)
         return eviction_from_payload(value["result"])
 
     def reset(self) -> None:
         self._call("reset")
-        self._sup.record_state(self.framework_name, [])
 
     def snapshot(self) -> StoreSnapshot:
         return store_snapshot_from_payload(self._call("snapshot")["snapshot"])
@@ -956,17 +1014,19 @@ class RemoteStoreClient:
         """Push a store image into the worker (snapshot import)."""
         serialize._check_store_payload(payload)
         self._call("push_state", state=payload)
-        self._sup.record_state(
-            self.framework_name,
-            [
-                serialize.spec_from_payload(p)
-                for p in payload.get("admissions", [])
-            ],
-        )
 
 
 class RemoteShardPool:
-    """N remote shard workers plus the consistent-hash routing over them."""
+    """N remote shard workers plus the consistent-hash routing over them.
+
+    Worker ``shard-<i>`` keeps its WAL and checkpoints under
+    ``<root>/shard-<i>``; without a ``root`` the pool owns a temporary
+    directory for them, so a worker crash is survivable either way.
+    :meth:`shutdown` removes that directory; a parent that crashes
+    leaves it behind, which is why engines pass a ``root`` whenever they
+    have a directory of their own.  ``fsync`` / ``fsync_batch_n`` are the
+    workers' WAL sync policy.
+    """
 
     def __init__(
         self,
@@ -975,7 +1035,9 @@ class RemoteShardPool:
         scale: float,
         archs,
         use_cache: bool = True,
-        snapshot_root: str | None = None,
+        root: str | None = None,
+        fsync: str = "always",
+        fsync_batch_n: int = 8,
         op_deadline_s: float | None = None,
         breaker_threshold: int | None = None,
         breaker_cooldown_s: float = 5.0,
@@ -983,7 +1045,10 @@ class RemoteShardPool:
     ) -> None:
         if count < 1:
             raise UsageError("remote shard pool needs at least one worker")
-        self.snapshot_root = snapshot_root
+        self._owned_root = None
+        if root is None:
+            root = self._owned_root = tempfile.mkdtemp(prefix="repro-shards-")
+        self.root = root
         self.supervisors: dict[str, RemoteShardSupervisor] = {}
         for i in range(count):
             name = f"shard-{i}"
@@ -993,11 +1058,9 @@ class RemoteShardPool:
                     "scale": scale,
                     "archs": list(archs),
                     "use_cache": use_cache,
-                    "snapshot_dir": (
-                        os.path.join(snapshot_root, name)
-                        if snapshot_root
-                        else None
-                    ),
+                    "directory": os.path.join(root, name),
+                    "fsync": fsync,
+                    "fsync_batch_n": fsync_batch_n,
                 },
                 op_deadline_s=op_deadline_s,
                 breaker_threshold=breaker_threshold,
@@ -1065,7 +1128,7 @@ class RemoteShardPool:
                 "alive": sup.alive,
                 "pid": sup.pid,
                 "restarts": sup.restarts,
-                "snapshot_dir": sup.snapshot_dir,
+                "directory": sup.directory,
                 "breaker": sup.breaker_state,
                 "breaker_trips": sup.breaker_trips,
                 "heartbeats": sup.heartbeats,
@@ -1083,10 +1146,25 @@ class RemoteShardPool:
             "shards": rows,
         }
 
+    def checkpoint(self) -> dict[str, dict]:
+        """Checkpoint every live worker, truncating its WAL.
+
+        Idle or dead slots are skipped: a worker that is not running has
+        nothing in memory, and its WAL is replayed when it respawns.
+        """
+        return {
+            name: sup.call("checkpoint")["checkpoint"]
+            for name, sup in self.supervisors.items()
+            if sup.alive
+        }
+
     def shutdown(self) -> None:
         self.stop_heartbeats()
         for sup in self.supervisors.values():
             sup.shutdown()
+        if self._owned_root is not None:
+            shutil.rmtree(self._owned_root, ignore_errors=True)
+            self._owned_root = None
 
 
 if __name__ == "__main__":

@@ -64,10 +64,9 @@ from repro.utils.atomicio import atomic_write_bytes
 #: Bump on any change to the manifest layout or file naming.
 SNAPSHOT_SCHEMA = 2
 
-#: Schemas this reader accepts.  v1 snapshots carry self-contained shard
-#: containers; v2 shard containers are block-deflated and reference the
-#: shared pool file, so the two inflate to identical payload trees.
-SUPPORTED_SNAPSHOT_SCHEMAS = (1, SNAPSHOT_SCHEMA)
+#: Schemas this reader accepts: only block-deflated v2 (a v1 manifest,
+#: with self-contained shard containers, raises SnapshotSchemaError).
+SUPPORTED_SNAPSHOT_SCHEMAS = (SNAPSHOT_SCHEMA,)
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -208,8 +207,9 @@ def read_shard_payload(
 ) -> dict:
     """One manifest entry's store image, digest-verified then decoded.
 
-    A v2 entry's container is block-deflated; its blobs are rebuilt from
-    the shared pool (loaded from the entry's ``blocks`` reference unless
+    The entry's container is block-deflated (a store holding no
+    libraries has no blobs to deflate); its blobs are rebuilt from the
+    shared pool (loaded from the entry's ``blocks`` reference unless
     a caller that iterates many shards passes ``pool`` in), so the return
     value is always the original self-contained payload tree.
     """

@@ -69,7 +69,12 @@ from repro.core.report import LibraryReduction
 from repro.core.verify import VerificationResult, verify_debloat
 from repro.cuda.clock import VirtualClock
 from repro.cuda.costs import DEFAULT_COSTS
-from repro.errors import StoreInvariantError, UsageError, VerificationError
+from repro.errors import (
+    StoreInvariantError,
+    UsageError,
+    VerificationError,
+    WalAppendError,
+)
 from repro.frameworks.spec import Framework
 from repro.serving.usage import WorkloadUsage, cached_usage, capture_usage
 from repro.storage.blockstore import BlockStore
@@ -257,8 +262,8 @@ class DebloatStore:
         #: ``"ExcType: message"`` of the last rolled-back mutation, or None.
         self.last_error: str | None = None
         #: Write-ahead log journaling committed mutations (durability off
-        #: until :meth:`attach_wal`); append failures degrade durability,
-        #: never the committed admission.
+        #: until :meth:`attach_wal`); a failed append rolls the mutation
+        #: back, so nothing is acknowledged that the log does not hold.
         self._wal = None
         self._stat_wal_failures = 0
         #: ``"ExcType: message"`` of the last failed WAL append, or None.
@@ -278,23 +283,27 @@ class DebloatStore:
     )
 
     @contextmanager
-    def _txn(self):
+    def _txn(self, op: str | None = None, args: dict | None = None):
         """All-or-nothing mutation scope (admission lock must be held).
 
         The body stages union growth, delta locates, and recompactions
         against the live fields; on success the commit validates the
-        epoch's invariants and publishes the new :class:`StoreSnapshot`.
-        On *any* exception - including one raised mid-batch or by the
-        invariant check itself - every mutable field (union sets, library
-        map, admission ledger, counters, pinned architecture) is restored
-        to the pre-transaction epoch before the exception propagates, and
-        nothing is published: lock-free readers only ever observe the
-        last committed snapshot.
+        epoch's invariants, journals ``op`` with ``args`` to the attached
+        WAL, and publishes the new :class:`StoreSnapshot`.
+        On *any* exception - including one raised mid-batch, by the
+        invariant check, or by the WAL append - every mutable field (union
+        sets, library map, admission ledger, counters, pinned
+        architecture) is restored to the pre-transaction epoch before the
+        exception propagates, and nothing is published: lock-free readers
+        only ever observe the last committed snapshot, and every
+        committed snapshot is in the log.
         """
         state = self._capture_epoch_locked()
         try:
             yield
             self._validate_invariants_locked()
+            if op is not None:
+                self._wal_append_locked(op, args or {})
         except BaseException as exc:
             # Recompactions performed inside the aborted transaction are
             # discarded work; count them before the restore erases them.
@@ -497,13 +506,15 @@ class DebloatStore:
             self._wal = wal
 
     def _wal_append_locked(self, op: str, args: dict) -> None:
-        """Append one committed mutation record (admission lock held).
+        """Journal one mutation as the last step of its commit (lock held).
 
-        Runs *after* the transaction published its snapshot, so the
-        journal only ever describes committed state and record order
-        equals commit order.  An append failure (disk full, injected
-        ``wal.append`` fault) is counted and remembered but never undoes
-        the commit: durability degrades, serving does not.
+        Runs inside the transaction, after the invariant check and before
+        the snapshot is published, so record order equals commit order.
+        An append failure (disk full, failed fsync, injected
+        ``wal.append`` / ``wal.fsync`` fault) is counted, remembered, and
+        re-raised as :class:`~repro.errors.WalAppendError`: the
+        transaction rolls back and the caller's retry policy re-drives a
+        mutation no log holds.
         """
         if self._wal is None:
             return
@@ -518,6 +529,10 @@ class DebloatStore:
         except Exception as exc:
             self._stat_wal_failures += 1
             self.last_wal_error = f"{type(exc).__name__}: {exc}"
+            raise WalAppendError(
+                f"{op} rolled back, journal append failed: "
+                f"{self.last_wal_error}"
+            ) from exc
 
     def restore_counters(self, counters: dict) -> None:
         """Install journaled transactional counters (WAL replay only).
@@ -576,8 +591,13 @@ class DebloatStore:
                 # request is a rejection, not a rollback.
                 _check_spec(self.framework.name, self._arch, spec)
             duplicate = duplicate or spec in self._usage
+            from repro.core import serialize
 
-            with self._txn():
+            journal = {
+                "spec": serialize.spec_to_payload(spec),
+                "verify": bool(verify),
+            }
+            with self._txn("admit", journal):
                 if detection_cached and not duplicate:
                     self._stat_usage_cache_hits += 1
                 if self._arch is None:
@@ -626,15 +646,6 @@ class DebloatStore:
                 self._stat_recompactions += len(to_process)
                 self._stat_untouched_served += len(untouched)
 
-            from repro.core import serialize
-
-            self._wal_append_locked(
-                "admit",
-                {
-                    "spec": serialize.spec_to_payload(spec),
-                    "verify": bool(verify),
-                },
-            )
             snapshot_libs = self._debloated
             generation = self._generation
             union_file_size = self._snapshot.total_file_size
@@ -773,17 +784,8 @@ class DebloatStore:
                 # pinned a conflicting architecture) before any mutation.
                 for spec in specs:
                     _check_spec(self.framework.name, self._arch, spec)
-            pending, cost_of = self._admit_many_locked(specs, captures)
-            from repro.core import serialize
-
-            self._wal_append_locked(
-                "admit_many",
-                {
-                    "specs": [
-                        serialize.spec_to_payload(s) for s in specs
-                    ],
-                    "verify": bool(verify),
-                },
+            pending, cost_of = self._admit_many_locked(
+                specs, captures, verify
             )
             generation = self._generation
             union_file_size = self._snapshot.total_file_size
@@ -828,6 +830,7 @@ class DebloatStore:
         self,
         specs: list[WorkloadSpec],
         captures: list[tuple[WorkloadUsage, bool, bool]],
+        verify: bool = False,
     ) -> tuple[list[dict], list[float]]:
         """The transactional body of :meth:`admit_many` (lock held).
 
@@ -837,7 +840,13 @@ class DebloatStore:
         was never called.  Returns the per-spec bookkeeping ``pending``
         dicts and the per-spec attributed locate/compact costs.
         """
-        with self._txn():
+        from repro.core import serialize
+
+        journal = {
+            "specs": [serialize.spec_to_payload(s) for s in specs],
+            "verify": bool(verify),
+        }
+        with self._txn("admit_many", journal):
             if self._arch is None:
                 self._arch = specs[0].devices()[0].sm_arch
             for spec in specs:
@@ -1049,16 +1058,6 @@ class DebloatStore:
     def debloated_libraries(self) -> dict[str, DebloatedLibrary]:
         """The current library map (a copy; entries are immutable)."""
         return dict(self._snapshot.libraries)
-
-    def admitted_specs(self) -> tuple[WorkloadSpec, ...]:
-        """The admission ledger in admission order (duplicates included).
-
-        The remote-shard supervisor diffs this against its parent-side
-        replay ledger after a crash restart, to re-admit exactly the
-        committed-but-unexported tail.
-        """
-        with self._admission_lock:
-            return tuple(self._admitted)
 
     def _publish_snapshot(self) -> None:
         reductions: tuple[LibraryReduction, ...] = ()
@@ -1321,8 +1320,11 @@ class DebloatStore:
             ):
                 remember_index(lib, index)
 
+        # A wholesale install supersedes the journaled history: the
+        # imported image itself becomes the journal's new baseline, so a
+        # crash right after an import still recovers this state.
         with self._admission_lock:
-            with self._txn():
+            with self._txn("import", {"state": payload}):
                 self._arch = None if arch is None else int(arch)
                 self._features = features
                 self._union_kernels = union_kernels
@@ -1335,10 +1337,6 @@ class DebloatStore:
                 self._generation = generation
                 for name in self._TXN_COUNTERS:
                     setattr(self, name, counters.get(name, 0))
-            # A wholesale install supersedes the journaled history: the
-            # imported image itself becomes the journal's new baseline, so
-            # a crash right after an import still recovers this state.
-            self._wal_append_locked("import", {"state": payload})
 
     # -- eviction / reset -----------------------------------------------------
 
@@ -1351,13 +1349,6 @@ class DebloatStore:
         dropped from the store.
         """
         with self._admission_lock:
-            result = self._evict_locked(workload_id)
-            self._wal_append_locked("evict", {"workload_id": workload_id})
-            return result
-
-    def _evict_locked(self, workload_id: str) -> EvictionResult:
-        """The transactional body of :meth:`evict` (lock held; reentrant)."""
-        with self._admission_lock:
             keep = [s for s in self._admitted if s.workload_id != workload_id]
             removed = len(self._admitted) - len(keep)
             if removed == 0:
@@ -1366,7 +1357,7 @@ class DebloatStore:
                     f"{sorted({s.workload_id for s in self._admitted})}"
                 )
             kept_specs = {s for s in keep}
-            with self._txn():
+            with self._txn("evict", {"workload_id": workload_id}):
                 self._usage = {
                     s: u for s, u in self._usage.items() if s in kept_specs
                 }
@@ -1463,7 +1454,7 @@ class DebloatStore:
     def reset(self) -> None:
         """Forget every admission and library; the generation still advances."""
         with self._admission_lock:
-            with self._txn():
+            with self._txn("reset", {}):
                 self._arch = None
                 self._features = frozenset()
                 self._union_kernels = {}
@@ -1474,7 +1465,6 @@ class DebloatStore:
                 self._debloated = {}
                 self._locates = {}
                 self._generation += 1
-            self._wal_append_locked("reset", {})
 
     # -- stats ----------------------------------------------------------------
 

@@ -4,10 +4,13 @@ The serving store (:mod:`repro.serving.store`) made single-process faults
 transactional, and :mod:`repro.serving.snapshot` added *manual* image
 export/import - but a crashed engine still lost every admission since the
 last explicit export.  This module closes that gap with a write-ahead log
-(WAL): every committed ``admit`` / ``admit_many`` / ``evict`` / ``reset``
-appends one record *after* the store transaction commits, so the log is a
-faithful journal of the committed history, and
+(WAL): every ``admit`` / ``admit_many`` / ``evict`` / ``reset`` / import
+appends one record as the last step of its store transaction, so the log
+is a faithful journal of the committed history, and
 :meth:`~repro.api.engine.DebloatEngine.open` replays it automatically.
+It is the one recovery path for every shard: remote shard workers
+(:mod:`repro.serving.remote`) run their own :class:`DurabilityController`
+over their own directory and recover through it when respawned.
 
 Record framing
 --------------
@@ -34,10 +37,14 @@ Durability contract
 loss), ``batch`` syncs every N appends and on checkpoint (bounded loss
 window), ``off`` only flushes to the OS (survives process death - the
 crash-matrix regime - but not power loss).  Appends happen under the
-store's admission lock, so WAL order equals commit order.  A crash between
-a store commit and its WAL append loses exactly that record: the *durable*
-state is defined by the log, which is what recovery reproduces
-byte-identically.
+store's admission lock, so WAL order equals commit order.  A mutation is
+acknowledged only after its append (and, under ``always``, its sync)
+returns: a failed append rolls the transaction back and raises a
+transient :class:`~repro.errors.WalAppendError`, so no caller is told
+"committed" about a mutation the log does not hold.  A crash after the
+in-memory commit but before the append returns loses exactly that
+unacknowledged record: the *durable* state is defined by the log, which
+is what recovery reproduces byte-identically.
 
 Checkpointing truncates the log: export a snapshot (manifest written
 last, atomically, recording each shard's ``wal_seq`` watermark), **then**
@@ -238,8 +245,10 @@ class WriteAheadLog:
         The record is framed, CRC'd (by the RDBC container), flushed,
         and - per the fsync policy - synced.  Fault site ``wal.append``
         fires before any bytes are written, ``wal.fsync`` before the
-        physical sync, so an injected (or kill) fault at either site
-        leaves a clean prefix on disk.
+        physical sync, so a kill fault at either site leaves a clean
+        prefix on disk.  A write or sync that *raises* cuts the file back
+        to its length before this record, so a caller that rolls the
+        mutation back never finds it replayed on recovery.
         """
         with self._lock:
             if self._closed:
@@ -247,18 +256,39 @@ class WriteAheadLog:
             faults.check("wal.append")
             seq = self.last_seq + 1
             blob = serialize.value_dumps(dict(record, seq=seq), WAL_KIND)
-            self._fh.write(_LEN.pack(len(blob)) + blob)
-            self._fh.flush()
+            start = os.fstat(self._fh.fileno()).st_size
+            try:
+                self._fh.write(_LEN.pack(len(blob)) + blob)
+                self._fh.flush()
+                if self.fsync_policy == "always" or (
+                    self.fsync_policy == "batch"
+                    and self._unsynced + 1 >= self.fsync_batch_n
+                ):
+                    self._fsync_locked()
+                else:
+                    self._unsynced += 1
+            except BaseException:
+                self._cut_locked(start)
+                raise
             self.last_seq = seq
             self.appended += 1
             self.records_on_disk += 1
-            self._unsynced += 1
-            if self.fsync_policy == "always" or (
-                self.fsync_policy == "batch"
-                and self._unsynced >= self.fsync_batch_n
-            ):
-                self._fsync_locked()
             return seq
+
+    def _cut_locked(self, length: int) -> None:
+        """Drop a failed append's bytes; a log that cannot be cut closes."""
+        try:
+            self._fh.close()
+        except OSError:
+            pass  # the buffered bytes are discarded by the truncate below
+        try:
+            os.truncate(self.path, length)
+            self._fh = open(self.path, "ab")
+        except OSError:
+            # The log may now hold a record whose mutation was rolled
+            # back; refuse further appends rather than journal past it.
+            self._closed = True
+            raise
 
     def _fsync_locked(self) -> None:
         faults.check("wal.fsync")
@@ -354,14 +384,15 @@ def _framework_of(filename: str) -> str | None:
 class DurabilityController:
     """Owns the per-shard WALs, recovery-on-open, and checkpointing.
 
-    One controller per :class:`~repro.api.engine.DebloatEngine`.  The
-    federation calls :meth:`attach` as it creates local shards (so every
-    committed mutation is journaled from the first admission);
-    :meth:`recover` runs once during ``open()`` *before* serving starts,
-    loading the newest checkpoint snapshot and replaying the WAL tail
-    through the zero-run cached-usage path; :meth:`checkpoint` (manual or
-    via the background checkpointer thread) bounds replay time by
-    snapshotting and truncating.
+    One controller per :class:`~repro.api.engine.DebloatEngine`, and one
+    per remote shard worker.  The federation calls :meth:`attach` as it
+    creates local shards (so every committed mutation is journaled from
+    the first admission); :meth:`recover` runs once during ``open()``
+    (or worker boot) *before* serving starts, loading the newest
+    checkpoint snapshot and replaying the WAL tail through the zero-run
+    cached-usage path; :meth:`checkpoint` (manual or via the background
+    checkpointer thread) bounds replay time by snapshotting and
+    truncating, and fans out to the federation's live remote workers.
     """
 
     def __init__(
@@ -417,9 +448,9 @@ class DurabilityController:
     def attach(self, shard) -> None:
         """Journal a (local) federation shard's mutations from now on.
 
-        A no-op for remote shards (workers recover through their own
-        snapshots) and while recovery is still replaying (replayed
-        records must not be re-appended).
+        A no-op for remote shards (each worker journals to its own WAL)
+        and while recovery is still replaying (replayed records must not
+        be re-appended).
         """
         if getattr(shard, "remote", False):
             return
@@ -438,21 +469,29 @@ class DurabilityController:
 
     # -- recovery ----------------------------------------------------------
 
-    def recover(self, federation) -> dict[str, Any]:
+    def recover(
+        self, federation, progress: Callable[[], None] | None = None
+    ) -> dict[str, Any]:
         """Rebuild the federation's committed state from snapshot + WAL.
 
         For every framework with a checkpoint entry or a WAL on disk:
         import the snapshot payload (if any), then replay WAL records
         past the snapshot's ``wal_seq`` watermark in order.  A corrupt
         snapshot shard degrades to a cold full-WAL replay instead of
-        failing the open.  Remote shards recover through their own
-        worker snapshots and are skipped here.  Returns a report dict
-        (also kept as :attr:`recovery_report`).
+        failing the open.  Remote shards recover inside their own worker
+        and are skipped here.  Returns a report dict (also kept as
+        :attr:`recovery_report`); ``workload_runs`` counts replayed
+        admissions whose usage was not in the pipeline cache (0 on a warm
+        cache).  ``progress``, when given, is called before each snapshot
+        import and each replayed record, so a caller can tell a long
+        recovery from a stuck one.
         """
+        tick = progress if progress is not None else (lambda: None)
         report: dict[str, Any] = {
             "frameworks": {},
             "snapshot_loaded": False,
             "replayed": 0,
+            "workload_runs": 0,
             "wall_s": 0.0,
         }
         started = self._clock()
@@ -484,6 +523,7 @@ class DurabilityController:
             entry = entries.get(name)
             shard_report: dict[str, Any] = {}
             if entry is not None:
+                tick()
                 try:
                     payload = snapshots.read_shard_payload(
                         self.checkpoint_dir, entry
@@ -495,7 +535,9 @@ class DurabilityController:
                     shard_report["snapshot_error"] = (
                         f"{type(exc).__name__}: {exc}"
                     )
-            replayed = self._replay(shard.store, wal, watermark)
+            replayed, runs = self._replay(
+                shard.store, wal, watermark, tick
+            )
             shard.store.attach_wal(wal)
             federation.warm_shard(name)
             shard_report.update(
@@ -503,11 +545,13 @@ class DurabilityController:
                     "snapshot": loaded,
                     "watermark": watermark,
                     "replayed": replayed,
+                    "workload_runs": runs,
                     "generation": shard.store.generation,
                 }
             )
             report["frameworks"][name] = shard_report
             report["replayed"] += replayed
+            report["workload_runs"] += runs
         report["wall_s"] = self._clock() - started
         with self._lock:
             self._ready = True
@@ -515,8 +559,16 @@ class DurabilityController:
             self.recovery_report = report
         return report
 
-    def _replay(self, store, wal: WriteAheadLog, watermark: int) -> int:
-        """Re-apply WAL records past ``watermark``; returns the count.
+    def _replay(
+        self,
+        store,
+        wal: WriteAheadLog,
+        watermark: int,
+        tick: Callable[[], None],
+    ) -> tuple[int, int]:
+        """Re-apply WAL records past ``watermark``.
+
+        Returns ``(records applied, admissions that ran their workload)``.
 
         Replay drives the store's ordinary mutators with ``verify=False``
         - detection comes from the pipeline cache's recorded usage, so a
@@ -528,26 +580,30 @@ class DurabilityController:
         replay-variant statistics like usage-cache hits.
         """
         applied = 0
+        runs = 0
         last: dict | None = None
         for record in wal.records():
             if record["seq"] <= watermark:
                 continue
+            tick()
             faults.check("wal.replay")
             op = record.get("op")
             try:
                 if op == "admit":
-                    store.admit(
+                    result = store.admit(
                         serialize.spec_from_payload(record["spec"]),
                         verify=False,
                     )
+                    runs += not result.detection_cached
                 elif op == "admit_many":
-                    store.admit_many(
+                    results = store.admit_many(
                         [
                             serialize.spec_from_payload(p)
                             for p in record["specs"]
                         ],
                         verify=False,
                     )
+                    runs += sum(not r.detection_cached for r in results)
                 elif op == "evict":
                     store.evict(record["workload_id"])
                 elif op == "reset":
@@ -578,7 +634,7 @@ class DurabilityController:
             last = record
         if last is not None and isinstance(last.get("counters"), dict):
             store.restore_counters(last["counters"])
-        return applied
+        return applied, runs
 
     # -- checkpointing -----------------------------------------------------
 
@@ -590,10 +646,10 @@ class DurabilityController:
         dropped, and the manifest records each shard's ``wal_seq``
         watermark.  Fault site ``checkpoint.truncate`` fires between the
         two steps - a kill there leaves snapshot + full WAL, and recovery
-        skips the already-snapshotted records by watermark.
+        skips the already-snapshotted records by watermark.  Every live
+        remote worker then checkpoints its own WAL the same way; their
+        results land under ``"remote"``.
         """
-        from repro.serving import snapshot as snapshots
-
         with self._lock:
             if self._closed:
                 raise WalError("durability controller is closed")
@@ -602,28 +658,13 @@ class DurabilityController:
                 for shard in federation.local_shards()
                 if shard.store.wal is not None
             ]
-            if not shards:
+            pool = federation.remote_pool
+            if not shards and pool is None:
                 return {"skipped": "no durable shards", "truncated": 0}
-            payloads: dict[str, dict] = {}
-            wal_seqs: dict[str, int] = {}
-            for shard in shards:
-                payload, last_seq = shard.store.export_durable()
-                name = shard.store.framework.name
-                payloads[name] = payload
-                wal_seqs[name] = last_seq
-            for shard in shards:
-                shard.store.wal.sync()
             try:
-                manifest = snapshots.write_snapshot(
-                    self.checkpoint_dir, payloads, wal_seqs=wal_seqs
-                )
-                faults.check("checkpoint.truncate")
-                truncated = 0
-                for shard in shards:
-                    name = shard.store.framework.name
-                    truncated += self.wal_for(name).truncate_through(
-                        wal_seqs[name]
-                    )
+                result = self._checkpoint_local(shards)
+                if pool is not None:
+                    result["remote"] = pool.checkpoint()
             except BaseException as exc:
                 self.checkpoints_failed += 1
                 self.last_checkpoint_error = (
@@ -631,15 +672,39 @@ class DurabilityController:
                 )
                 raise
             self.checkpoints_run += 1
-            return {
-                "shards": sorted(wal_seqs),
-                "wal_seqs": wal_seqs,
-                "truncated": truncated,
-                "generations": {
-                    e["framework"]: e["generation"]
-                    for e in manifest["shards"]
-                },
-            }
+            return result
+
+    def _checkpoint_local(self, shards) -> dict[str, Any]:
+        from repro.serving import snapshot as snapshots
+
+        if not shards:
+            return {"shards": [], "wal_seqs": {}, "truncated": 0,
+                    "generations": {}}
+        payloads: dict[str, dict] = {}
+        wal_seqs: dict[str, int] = {}
+        for shard in shards:
+            payload, last_seq = shard.store.export_durable()
+            name = shard.store.framework.name
+            payloads[name] = payload
+            wal_seqs[name] = last_seq
+        for shard in shards:
+            shard.store.wal.sync()
+        manifest = snapshots.write_snapshot(
+            self.checkpoint_dir, payloads, wal_seqs=wal_seqs
+        )
+        faults.check("checkpoint.truncate")
+        truncated = 0
+        for shard in shards:
+            name = shard.store.framework.name
+            truncated += self.wal_for(name).truncate_through(wal_seqs[name])
+        return {
+            "shards": sorted(wal_seqs),
+            "wal_seqs": wal_seqs,
+            "truncated": truncated,
+            "generations": {
+                e["framework"]: e["generation"] for e in manifest["shards"]
+            },
+        }
 
     def start_checkpointer(self, federation, interval_s: float) -> None:
         """Run :meth:`checkpoint` periodically (the sweeper cadence).

@@ -33,7 +33,8 @@ Sites instrumented today:
 ``snapshot.read``          snapshot manifest/shard-image read (a torn or
                            corrupt on-disk snapshot)
 ``wal.append``             write-ahead log, before the record frame is
-                           written (an admission committed but never logged)
+                           written (the admission rolls back, or - as a
+                           kill - is lost unacknowledged)
 ``wal.fsync``              write-ahead log, before the physical fsync (a
                            power-loss window)
 ``wal.replay``             durability recovery, before applying one WAL
@@ -59,10 +60,12 @@ or an inline rule spec::
 ``site%RATE`` fires each invocation with probability RATE drawn from a
 seeded per-rule stream; an optional ``:kind`` suffix picks the injected
 failure (``fault`` | ``broken_pool`` | ``corrupt`` | ``oserror`` |
-``kill``).  ``kill`` is the crash-matrix kind: instead of raising, it
-sends ``SIGKILL`` to the current process at the fault site, simulating a
-hard crash with no chance to run cleanup - only meaningful in a child
-process driven via ``REPRO_FAULT_PLAN``.
+``kill`` | ``delay``).  ``kill`` is the crash-matrix kind: instead of
+raising, it sends ``SIGKILL`` to the current process at the fault site,
+simulating a hard crash with no chance to run cleanup - only meaningful
+in a child process driven via ``REPRO_FAULT_PLAN``.  ``delay`` raises
+nothing either: it stalls the site for :data:`DELAY_S` (a slow disk or a
+loaded host), which is how deadline handling is rehearsed.
 
 Determinism: each rule keeps its own invocation counter and (for rate
 rules) its own :class:`~repro.utils.rng.RngStream` seeded from
@@ -78,6 +81,7 @@ from __future__ import annotations
 import os
 import signal
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -89,7 +93,10 @@ from repro.utils.rng import RngStream
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Injected-failure kinds a rule may request.
-FAULT_KINDS = ("fault", "broken_pool", "corrupt", "oserror", "kill")
+FAULT_KINDS = ("fault", "broken_pool", "corrupt", "oserror", "kill", "delay")
+
+#: How long a ``delay`` fault stalls its site, in seconds.
+DELAY_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -192,6 +199,9 @@ class FaultPlan:
                 if rule.kind == "kill":
                     # Hard crash: no exception, no cleanup, no atexit.
                     os.kill(os.getpid(), signal.SIGKILL)
+                if rule.kind == "delay":
+                    time.sleep(DELAY_S)
+                    continue
                 raise _exception_for(rule.kind, site, ordinal)
 
     def stats(self) -> dict[str, int]:
@@ -284,13 +294,15 @@ CI_STANDARD_SEED = 20250808
 #:
 #: The durability rules (``wal.*`` / ``checkpoint.truncate`` /
 #: ``remote.heartbeat``) likewise only fire with durability or heartbeats
-#: enabled, and every one is absorbed where it fires: a failed WAL append
-#: or fsync is counted (``wal_failures``) without undoing the committed
-#: admission, a truncate fault leaves the checkpoint snapshot in place
-#: (the watermark makes the extra replay a no-op), and a heartbeat fault
-#: is one failed probe.  ``wal.replay`` is deliberately *not* in this
-#: plan: a replay fault aborts recovery rather than being tolerated, so
-#: it belongs to the explicit crash matrix, not the steady-state plan.
+#: enabled, and every one is recovered from: a failed WAL append or fsync
+#: rolls the admission back and raises a transient ``WalAppendError``
+#: (counted in ``wal_failures``), so the server's retry policy re-admits
+#: it and it lands exactly once; a truncate fault leaves the checkpoint
+#: snapshot in place (the watermark makes the extra replay a no-op); and a
+#: heartbeat fault is one failed probe.  ``wal.replay`` is deliberately
+#: *not* in this plan: a replay fault aborts recovery rather than being
+#: tolerated, so it belongs to the explicit crash matrix, not the
+#: steady-state plan.
 CI_STANDARD_PLAN = (
     FaultRule("worker.pre_merge", ordinals=(1,)),
     FaultRule("store.merge", ordinals=(2,)),

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "processes, consistent-hash routed by build "
                          "fingerprint (0 = everything in-process)")
     p_serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                         help="root for warm store snapshots: remote "
-                         "workers auto-export and crash-recover under "
+                         help="root for warm store state: remote "
+                         "workers keep their WAL and checkpoints under "
                          "DIR/workers; POST /v1/snapshot/export defaults "
                          "to DIR/federation")
     p_serve.add_argument("--durable", action="store_true",

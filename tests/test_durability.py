@@ -22,10 +22,13 @@ from repro.core.debloat import DebloatOptions
 from repro.errors import (
     ConfigurationError,
     RemoteShardError,
+    TransientError,
     UsageError,
+    WalAppendError,
 )
 from repro.serving.remote import RemoteShardSupervisor
 from repro.testing import faults
+from repro.utils.retry import RetryPolicy
 from repro.workloads import runner as runner_mod
 
 from tests.conftest import TEST_SCALE
@@ -159,27 +162,68 @@ class TestRecovery:
                 assert report["replayed"] == 0  # watermark skips them
                 assert export_bytes(engine) == committed
 
-    def test_wal_append_fault_never_undoes_commit(self, tmp_path):
+    def test_wal_append_fault_rolls_back_and_retries(self, tmp_path):
+        """Acknowledged only once durable: a failed append undoes the
+        admission and raises a transient error; the retry lands it."""
         cfg = durable_config(tmp_path)
         with DebloatEngine(cfg) as engine:
             plan = faults.FaultPlan(
-                (faults.FaultRule("wal.append", ordinals=(2,)),), seed=7
+                (faults.FaultRule("wal.append", ordinals=(1,)),), seed=7
             )
+            engine.admit(AdmitRequest(workload_id=PT_IDS[0]))
+            retried: list[BaseException] = []
+
+            def on_retry(attempt: int, exc: BaseException) -> None:
+                retried.append(exc)
+                # The rolled-back attempt never happened in memory.
+                assert engine.snapshot().workload_count == 1
+
             with faults.fault_plan(plan):
-                for wid in PT_IDS[:2]:
-                    engine.admit(AdmitRequest(workload_id=wid))
+                RetryPolicy(base_backoff_s=0.0).call(
+                    lambda: engine.admit(AdmitRequest(workload_id=PT_IDS[1])),
+                    on_retry=on_retry,
+                )
+            assert len(retried) == 1
+            assert isinstance(retried[0], WalAppendError)
+            assert isinstance(retried[0], TransientError)
             stats = engine.stats()
             assert stats["wal_failures"] == 1
-            # The admission itself still stands in-memory...
+            assert stats["wal_appended"] == 2
             assert engine.snapshot().workload_count == 2
-            # ...but durable state = what the log recorded: one admission.
-            assert stats["wal_appended"] == 1
+            committed = export_bytes(engine)
 
         with forbid_workload_runs():
             with DebloatEngine(cfg) as engine:
+                assert engine.recovery["replayed"] == 2
+                assert export_bytes(engine) == committed
+
+    def test_failed_fsync_under_always_leaves_no_record(self, tmp_path):
+        cfg = durable_config(
+            tmp_path,
+            durability=DurabilityConfig(
+                enabled=True,
+                directory=str(tmp_path / "durability"),
+                fsync="always",
+            ),
+        )
+        with DebloatEngine(cfg) as engine:
+            plan = faults.FaultPlan(
+                (faults.FaultRule("wal.fsync", ordinals=(1,),
+                                  kind="oserror"),),
+                seed=7,
+            )
+            with faults.fault_plan(plan):
+                with pytest.raises(WalAppendError):
+                    engine.admit(AdmitRequest(workload_id=PT_IDS[0]))
+            assert engine.snapshot().workload_count == 0
+            engine.admit(AdmitRequest(workload_id=PT_IDS[1]))
+            committed = export_bytes(engine)
+
+        with forbid_workload_runs():
+            with DebloatEngine(cfg) as engine:
+                # The synced-then-failed record was cut from the log.
                 assert engine.recovery["replayed"] == 1
-                snapshot = engine.snapshot()
-                assert snapshot.workload_count == 1
+                assert export_bytes(engine) == committed
 
     def test_torn_wal_tail_quarantined_on_recovery(self, tmp_path):
         cfg = durable_config(tmp_path)
@@ -428,7 +472,7 @@ class TestRemoteLiveness:
             _os.kill(pid, 19)  # SIGSTOP: hung, not dead
             try:
                 with pytest.raises(RemoteShardError, match="deadline"):
-                    sup.call("admitted", framework="pytorch")
+                    sup.call("snapshot", framework="pytorch")
             finally:
                 _os.kill(pid, 18)  # SIGCONT before teardown
 

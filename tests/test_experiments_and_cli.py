@@ -115,6 +115,40 @@ class TestExperimentsCli:
         assert code == 0
         assert "MobileNetV2" in target.read_text()
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+    def test_bad_scale_exits_2_with_one_line(self, capsys, scale):
+        assert experiments_main(["table4", "--scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "scale must be a positive number" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unknown_experiment_exits_2_with_one_line(self, capsys):
+        # Rejected before anything runs, even when listed after a
+        # valid id.
+        assert experiments_main(["table1", "nonexistent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "unknown experiment 'nonexistent'" in captured.err
+
+    def test_module_entry_point_has_no_traceback(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "nonexistent"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("repro-experiments: error: ")
+
+    def test_run_experiment_rejects_bad_scale(self):
+        with pytest.raises(ConfigurationError, match="scale"):
+            run_experiment("table4", scale=-1)
+
 
 class TestToolCli:
     def test_workloads(self, capsys):

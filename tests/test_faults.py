@@ -193,6 +193,15 @@ class TestFaultPlan:
         with pytest.raises(FaultError):
             plan.check("site.a")
 
+    def test_delay_kind_stalls_without_raising(self, monkeypatch):
+        monkeypatch.setattr(faults, "DELAY_S", 0.05)
+        plan = faults.parse_plan("seed=1;site.a@2:delay")
+        plan.check("site.a")
+        started = time.monotonic()
+        plan.check("site.a")  # stalls, then returns normally
+        assert time.monotonic() - started >= 0.05
+        assert [f.kind for f in plan.fired] == ["delay"]
+
     def test_context_manager_restores_previous_plan(self):
         outer = faults.activate(
             faults.FaultPlan([faults.FaultRule("x", ordinals=(99,))])

@@ -3,9 +3,9 @@ export/import, consistent-hash routing, and crash recovery.
 
 The contract under test: a replica built from a snapshot serves
 byte-identical reports and libraries with **zero** workload runs, and a
-SIGKILLed remote shard comes back byte-identical from its auto-exported
-snapshot - including under the ``ci-standard`` fault plan, with zero hung
-tickets.
+SIGKILLed remote shard comes back byte-identical by replaying its own
+write-ahead log (plus its newest checkpoint) - including under the
+``ci-standard`` fault plan, with zero hung tickets.
 """
 
 from __future__ import annotations
@@ -39,12 +39,14 @@ from repro.errors import (
     SnapshotSchemaError,
     TransientError,
     UsageError,
+    WalAppendError,
 )
 from repro.serving import snapshot as snapshots
 from repro.serving.remote import (
     HashRing,
     RemoteShardPool,
     RemoteShardSupervisor,
+    RemoteStoreClient,
 )
 from repro.serving.server import DebloatServer
 from repro.serving.store import DebloatStore
@@ -99,7 +101,7 @@ def pool(tmp_path):
         2,
         scale=TEST_SCALE,
         archs=tuple(EngineConfig().archs),
-        snapshot_root=str(tmp_path / "workers"),
+        root=str(tmp_path / "workers"),
     )
     yield p
     p.shutdown()
@@ -192,6 +194,15 @@ class TestSnapshotDirectory:
         manifest["schema"] = 999
         path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotSchemaError):
+            snapshots.load_snapshot(str(tmp_path))
+
+    def test_v1_manifest_is_rejected(self, pytorch, tmp_path):
+        self._snapshot(pytorch, tmp_path)
+        path = tmp_path / snapshots.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotSchemaError, match="schema 1"):
             snapshots.load_snapshot(str(tmp_path))
 
     def test_tampered_shard_fails_digest(self, pytorch, tmp_path):
@@ -371,9 +382,9 @@ class TestRemoteWorkers:
             time.sleep(0.01)
         assert not supervisor.alive
         # The next call notices the dead worker, respawns it, and the
-        # replacement restores from its auto-exported snapshot: same
-        # generation, same bytes, no workload re-runs (generation would
-        # advance if anything were re-admitted).
+        # replacement recovers from its own WAL: same generation, same
+        # bytes, no workload re-runs (generation would advance if
+        # anything were re-admitted).
         snap = shard.store.snapshot()
         assert supervisor.restarts == 1
         assert supervisor.pid != pid
@@ -416,6 +427,25 @@ class TestRemoteFaultSites:
                 shard.store.snapshot()
             # Transient: the immediate retry respawns and succeeds.
             assert shard.store.snapshot().generation == 1
+        assert pool.supervisor_for("pytorch").restarts == 1
+
+    def test_failed_read_after_committed_admit_keeps_serving(self, pool):
+        """The server's post-commit health read fails: the admission
+        stands (no re-admission) and the worker thread keeps serving."""
+        fed = StoreFederation(fed_config(), remote_pool=pool)
+        # A served admission makes three remote calls: the admit, the
+        # federation's last-good read, and the server's record_success
+        # read.  Drop the response of the first admission's third call.
+        plan = faults.FaultPlan(
+            (faults.FaultRule("remote.recv", ordinals=(3,)),), seed=1
+        )
+        with faults.fault_plan(plan):
+            with DebloatServer(fed, workers=1) as server:
+                first = server.submit(pt_specs()[0]).result(timeout=60)
+                second = server.submit(pt_specs()[1]).result(timeout=60)
+        assert [f.ordinal for f in plan.fired] == [3]
+        assert (first.generation, second.generation) == (1, 2)
+        assert fed.shard("pytorch").state == "ok"
         assert pool.supervisor_for("pytorch").restarts == 1
 
     def test_ci_standard_mixed_traffic_sigkill_byte_identity(
@@ -482,6 +512,243 @@ class TestRemoteFaultSites:
              for lib in local_report.libraries],
         )
         assert fed.shard("tensorflow").store.generation == 1
+
+
+# -- worker write-ahead logs ---------------------------------------------------
+
+
+def kill_and_wait(supervisor) -> int:
+    pid = supervisor.pid
+    assert pid is not None
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while supervisor.alive and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not supervisor.alive
+    return pid
+
+
+def files_under(root) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, names in os.walk(root)
+        for f in names
+    }
+
+
+class TestWorkerWal:
+    def test_sigkill_without_snapshot_dir_recovers_zero_runs(self):
+        pool = RemoteShardPool(
+            1, scale=TEST_SCALE, archs=tuple(EngineConfig().archs)
+        )
+        try:
+            fed = StoreFederation(fed_config(), remote_pool=pool)
+            for spec in pt_specs()[:2]:
+                fed.admit(spec)
+            shard = fed.shard("pytorch")
+            image = payload_dumps(shard.store.export_state())
+            supervisor = pool.supervisor_for("pytorch")
+            assert supervisor.recovery["replayed"] == 0
+            pid = kill_and_wait(supervisor)
+
+            snap = shard.store.snapshot()
+            assert supervisor.restarts == 1
+            assert supervisor.pid != pid
+            assert snap.generation == 2
+            assert payload_dumps(shard.store.export_state()) == image
+            # Both admissions came back from the WAL through the warm
+            # pipeline cache: no workload ran during recovery.
+            assert supervisor.recovery["replayed"] == 2
+            assert supervisor.recovery["workload_runs"] == 0
+            root = pool.root
+            assert os.path.isdir(root)
+        finally:
+            pool.shutdown()
+        assert not os.path.exists(root)  # the pool owned the temp dir
+
+    def test_worker_dir_holds_only_the_wal_until_a_checkpoint(self, pool):
+        fed = StoreFederation(fed_config(), remote_pool=pool)
+        for spec in pt_specs()[:2]:
+            fed.admit(spec)
+        workdir = pool.supervisor_for("pytorch").directory
+        assert files_under(workdir) == {os.path.join("wal", "pytorch.wal")}
+
+        results = pool.checkpoint()
+        worker = pool.supervisor_for("pytorch").name
+        assert results[worker]["truncated"] == 2
+        files = files_under(workdir)
+        assert os.path.join("checkpoint", snapshots.MANIFEST_NAME) in files
+        assert os.path.join("checkpoint", snapshots.BLOCKS_NAME) in files
+        wal_path = os.path.join(workdir, "wal", "pytorch.wal")
+        assert os.path.getsize(wal_path) == 0
+
+    def test_engine_checkpoint_truncates_remote_wals(self, tmp_path):
+        from repro.api import AdmitRequest
+        from repro.api.config import DurabilityConfig
+
+        config = fed_config(
+            remote_shards=1,
+            snapshot_dir=str(tmp_path / "sd"),
+            durability=DurabilityConfig(enabled=True, fsync="off"),
+        )
+        with DebloatEngine(config) as engine:
+            for wid in PT_IDS[:2]:
+                engine.admit(AdmitRequest(workload_id=wid))
+            result = engine.checkpoint()
+            assert result.value["remote"]["shard-0"]["truncated"] == 2
+            engine.admit(AdmitRequest(workload_id=PT_IDS[2]))
+            shard = engine.federation.shard("pytorch")
+            image = payload_dumps(shard.store.export_state())
+            supervisor = engine._remote_pool.supervisor_for("pytorch")
+            kill_and_wait(supervisor)
+
+            assert shard.store.generation == 3
+            assert payload_dumps(shard.store.export_state()) == image
+            recovery = supervisor.recovery
+            assert recovery["snapshot_loaded"]
+            assert recovery["replayed"] == 1  # only the post-checkpoint one
+            assert recovery["workload_runs"] == 0
+
+    def test_recovery_longer_than_the_op_deadline_still_boots(
+        self, tmp_path
+    ):
+        """Replay outlasts ``op_deadline_s``; progress frames keep the
+        boot alive, and the boot-time checkpoint means a second crash
+        replays nothing."""
+        deadline_s = 3.0
+        records = 8  # each replayed record stalls faults.DELAY_S
+        assert records * faults.DELAY_S > deadline_s
+        supervisor = RemoteShardSupervisor(
+            "shard-0",
+            {
+                "scale": TEST_SCALE,
+                "archs": list(EngineConfig().archs),
+                "directory": str(tmp_path / "shard-0"),
+                "fault_plan": "seed=1;wal.replay%1:delay",
+            },
+            op_deadline_s=deadline_s,
+        )
+        client = RemoteStoreClient(supervisor, "pytorch")
+        try:
+            for i in range(records):
+                client.admit(pt_specs()[i % len(PT_IDS)])
+            image = payload_dumps(client.export_state())
+            kill_and_wait(supervisor)
+
+            assert client.snapshot().generation == records
+            recovery = supervisor.recovery
+            assert recovery["replayed"] == records
+            assert recovery["wall_s"] > deadline_s
+            assert payload_dumps(client.export_state()) == image
+            kill_and_wait(supervisor)
+
+            assert payload_dumps(client.export_state()) == image
+            assert supervisor.recovery["snapshot_loaded"]
+            assert supervisor.recovery["replayed"] == 0
+            assert supervisor.restarts == 2
+        finally:
+            supervisor.shutdown()
+
+    def test_worker_checkpoints_itself_as_its_wal_grows(self, tmp_path):
+        from repro.serving.remote import CHECKPOINT_EVERY_RECORDS
+
+        supervisor = RemoteShardSupervisor(
+            "shard-0",
+            {
+                "scale": TEST_SCALE,
+                "archs": list(EngineConfig().archs),
+                "directory": str(tmp_path / "shard-0"),
+            },
+        )
+        client = RemoteStoreClient(supervisor, "pytorch")
+        extra = 3
+        try:
+            for i in range(CHECKPOINT_EVERY_RECORDS + extra):
+                client.admit(pt_specs()[i % len(PT_IDS)])
+            image = payload_dumps(client.export_state())
+            kill_and_wait(supervisor)
+            assert payload_dumps(client.export_state()) == image
+            recovery = supervisor.recovery
+            assert recovery["snapshot_loaded"]
+            assert recovery["replayed"] == extra
+        finally:
+            supervisor.shutdown()
+
+    def test_legacy_auto_export_is_imported_once(self, pytorch, tmp_path):
+        source = DebloatStore(pytorch, OPTS)
+        for spec in pt_specs()[:2]:
+            source.admit(spec)
+        workdir = str(tmp_path / "shard-0")
+        # The layout older workers auto-exported after every mutation.
+        snapshots.write_snapshot(workdir, {"pytorch": source.export_state()})
+        supervisor = RemoteShardSupervisor(
+            "shard-0",
+            {
+                "scale": TEST_SCALE,
+                "archs": list(EngineConfig().archs),
+                "directory": workdir,
+            },
+        )
+        client = RemoteStoreClient(supervisor, "pytorch")
+        try:
+            image = payload_dumps(source.export_state())
+            assert payload_dumps(client.export_state()) == image
+            assert supervisor.recovery["legacy_imported"] == ["pytorch"]
+            kill_and_wait(supervisor)
+            assert payload_dumps(client.export_state()) == image
+            assert supervisor.recovery["snapshot_loaded"]
+            assert "legacy_imported" not in supervisor.recovery
+        finally:
+            supervisor.shutdown()
+
+    def test_engine_puts_worker_dirs_under_the_durability_dir(
+        self, tmp_path
+    ):
+        from repro.api.config import DurabilityConfig
+
+        durable = str(tmp_path / "durable")
+        config = fed_config(
+            remote_shards=1,
+            durability=DurabilityConfig(
+                enabled=True, directory=durable, fsync="off"
+            ),
+        )
+        with DebloatEngine(config) as engine:
+            assert engine._remote_pool.root == os.path.join(
+                durable, "workers"
+            )
+
+    def test_worker_wal_fault_is_transient_and_lands_once(self, tmp_path):
+        supervisor = RemoteShardSupervisor(
+            "shard-0",
+            {
+                "scale": TEST_SCALE,
+                "archs": list(EngineConfig().archs),
+                "directory": str(tmp_path / "shard-0"),
+                "fault_plan": "seed=1;wal.append@1",
+            },
+        )
+        client = RemoteStoreClient(supervisor, "pytorch")
+        spec = pt_specs()[0]
+        retried: list[BaseException] = []
+        try:
+            result = RetryPolicy(base_backoff_s=0.0).call(
+                lambda: client.admit(spec),
+                on_retry=lambda attempt, exc: retried.append(exc),
+            )
+            assert [type(e) for e in retried] == [WalAppendError]
+            assert isinstance(retried[0], TransientError)
+            # The faulted attempt rolled back inside the worker (no
+            # restart): the retry is the one and only admission.
+            assert supervisor.restarts == 0
+            assert result.generation == 1
+            assert client.snapshot().workload_ids == (spec.workload_id,)
+            # ...and the WAL holds exactly that one record.
+            kill_and_wait(supervisor)
+            assert client.snapshot().generation == 1
+            assert supervisor.recovery["replayed"] == 1
+        finally:
+            supervisor.shutdown()
 
 
 # -- federation snapshot + engine integration ----------------------------------
