@@ -295,6 +295,100 @@ def test_bench_saturated_admission(benchmark):
     benchmark(store.admit, specs[-1])
 
 
+# -- cost model guards: counted calls, no wall-clock bounds -------------------
+
+
+class _Counted:
+    """Count calls to ``owner.name`` while active (a patching context)."""
+
+    def __init__(self, monkeypatch, owner, name: str) -> None:
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _duplicate_admit_counts(store, spec, monkeypatch) -> dict[str, int]:
+    import numpy as np
+
+    from repro.core.report import LibraryReduction
+
+    with monkeypatch.context() as m:
+        counters = {
+            "union1d": _Counted(m, np, "union1d"),
+            "setdiff1d": _Counted(m, np, "setdiff1d"),
+            "from_debloated": _Counted(m, LibraryReduction, "from_debloated"),
+        }
+        result = store.admit(spec)
+    assert result.duplicate
+    return {name: c.calls for name, c in counters.items()}
+
+
+def test_duplicate_admit_does_no_union_or_row_work(monkeypatch):
+    """A re-admission that changes nothing merges no array and rebuilds
+    no report row, however long the ledger has grown."""
+    framework = get_framework("pytorch", scale=TEST_SCALE)
+    specs = serving_specs()
+    store = DebloatStore(framework, OPTIONS)
+    for spec in specs:
+        store.admit(spec)
+    for ledger in (10, 200):
+        while len(store.snapshot().workload_ids) < ledger - 1:
+            store.admit(specs[len(store.snapshot().workload_ids) % 8])
+        counts = _duplicate_admit_counts(store, specs[0], monkeypatch)
+        assert len(store.snapshot().workload_ids) == ledger
+        assert counts == {"union1d": 0, "setdiff1d": 0, "from_debloated": 0}
+
+
+def test_evict_merges_each_distinct_kept_spec_once(monkeypatch):
+    """Eviction rebuilds the union from distinct specs: repeated ledger
+    entries add nothing and are not re-merged."""
+    framework = get_framework("pytorch", scale=TEST_SCALE)
+    specs = serving_specs()
+    store = DebloatStore(framework, OPTIONS)
+    for _ in range(3):
+        for spec in specs:
+            store.admit(spec)
+    evicted = specs[0].workload_id
+    kept = {s for s in specs if s.workload_id != evicted}
+    with monkeypatch.context() as m:
+        merges = _Counted(m, DebloatStore, "_union_in")
+        store.evict(evicted)
+    assert merges.calls == len(kept)
+    assert len(store.snapshot().workload_ids) == 3 * len(kept)
+
+
+def test_remote_duplicate_admit_is_one_worker_call(monkeypatch, tmp_path):
+    """Through the server, a remote duplicate admission is one round trip:
+    its reply carries the summary the federation records."""
+    from repro.api import EngineConfig
+    from repro.api.federation import StoreFederation
+    from repro.serving.remote import RemoteShardPool, RemoteShardProcess
+    from repro.serving.server import DebloatServer
+
+    config = EngineConfig(scale=TEST_SCALE, options=OPTIONS)
+    pool = RemoteShardPool(
+        1, scale=TEST_SCALE, archs=tuple(config.archs),
+        root=str(tmp_path / "workers"),
+    )
+    try:
+        federation = StoreFederation(config, remote_pool=pool)
+        spec = serving_specs()[0]
+        with DebloatServer(federation, workers=1) as server:
+            server.admit(spec, timeout=120)
+            with monkeypatch.context() as m:
+                calls = _Counted(m, RemoteShardProcess, "call")
+                result = server.admit(spec, timeout=120)
+        assert result.duplicate
+        assert calls.calls == 1
+    finally:
+        pool.shutdown()
+
+
 def main() -> None:
     """Regenerate the recorded baseline (run on the reference machine)."""
     specs = serving_specs()

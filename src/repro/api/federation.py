@@ -212,7 +212,7 @@ class FederationShard:
         shard.retries = 0
         shard.last_error = None
         # No remote round-trip at registration: the worker spawns lazily
-        # on the first admission, and note_success refreshes last_good.
+        # on the first admission, whose reply refreshes last_good.
         shard.last_good = _EMPTY_STORE_SNAPSHOT
         return shard
 
@@ -259,11 +259,27 @@ class FederationShard:
         self.consecutive_failures += 1
         self.last_error = f"{type(error).__name__}: {error}"
 
-    def note_success(self) -> None:
-        # Read first: a remote read that fails leaves the state untouched.
-        self.last_good = self.store.snapshot()
+    def note_success(self, snapshot: StoreSnapshot | None = None) -> None:
+        """Mark the shard healthy; adopt ``snapshot`` as its last-good epoch.
+
+        ``snapshot`` is the post-commit epoch the caller already holds
+        (:meth:`committed`); nothing is read here.  Replies can be
+        processed out of order, so an older generation than the one held
+        never replaces it.  Without a snapshot only the health changes.
+        """
+        if (
+            snapshot is not None
+            and snapshot.generation >= self.last_good.generation
+        ):
+            self.last_good = snapshot
         self.state = "ok"
         self.consecutive_failures = 0
+
+    def committed(self) -> StoreSnapshot:
+        """The newest committed epoch known here, without a remote read:
+        a local store's snapshot, or the summary the remote client's last
+        reply carried."""
+        return self.store.committed if self.remote else self.store.snapshot()
 
 
 class StoreFederation:
@@ -449,7 +465,7 @@ class StoreFederation:
         with self._lock:
             shard.touch(spec.workload_id, self._clock(), pinned)
             shard.note_admission(spec.workload_id, result)
-            shard.note_success()
+            shard.note_success(shard.committed())
         return result
 
     def admit_many(
@@ -482,7 +498,7 @@ class StoreFederation:
                     results[pos] = result
                     shard.touch(specs[pos].workload_id, now, False)
                     shard.note_admission(specs[pos].workload_id, result)
-                shard.note_success()
+                shard.note_success(shard.committed())
         return results  # type: ignore[return-value]
 
     # -- recovery tracking ----------------------------------------------------
@@ -505,17 +521,15 @@ class StoreFederation:
                 shard.note_failure(error)
 
     def record_success(self, spec: WorkloadSpec) -> None:
-        """``spec``'s admission committed; the shard is healthy again."""
+        """``spec``'s admission committed; mark its shard healthy.
+
+        No read: the admission already refreshed the shard's last-good
+        epoch from its own reply.
+        """
         with self._lock:
             shard = self._shards.get(spec.framework)
             if shard is not None:
-                try:
-                    shard.note_success()
-                except TransientError:
-                    # A remote shard's read can fail after the admission
-                    # landed; it stands, and the next success marks the
-                    # shard healthy and refreshes its last-good epoch.
-                    pass
+                shard.note_success()
 
     def touch(self, workload_id: str, framework: str | None = None) -> int:
         """Refresh last-served timestamps without admitting (read traffic)."""

@@ -204,34 +204,46 @@ def eviction_from_payload(p: dict) -> EvictionResult:
     )
 
 
-def store_snapshot_to_payload(snap: StoreSnapshot) -> dict:
+def store_snapshot_to_payload(
+    snap: StoreSnapshot, rows_token: str, rows: bool
+) -> dict:
     """A snapshot *summary*: counts and reductions, not library bytes.
 
     Serving reads (``/v1/snapshot``, health aggregation, eviction
     accounting) only consume the summary; library bytes cross the
     boundary through store images (pull/push), never per read.
+    ``rows_token`` names the reduction rows; with ``rows=False`` they are
+    left out (``reductions`` is None) for a reader that already holds
+    the rows under that token.
     """
     return {
         "generation": snap.generation,
         "workload_ids": list(snap.workload_ids),
         "union_kernels": snap.union_kernels,
         "union_functions": snap.union_functions,
-        "reductions": [
-            serialize.library_to_payload(r) for r in snap.reductions
-        ],
+        "rows_token": rows_token,
+        "reductions": (
+            [serialize.library_to_payload(r) for r in snap.reductions]
+            if rows
+            else None
+        ),
     }
 
 
-def store_snapshot_from_payload(p: dict) -> StoreSnapshot:
+def store_snapshot_from_payload(p: dict, held_rows: tuple) -> StoreSnapshot:
+    """Decode a summary; ``held_rows`` stands in for rows it left out."""
+    reductions = (
+        held_rows
+        if p["reductions"] is None
+        else tuple(serialize.library_from_payload(r) for r in p["reductions"])
+    )
     return StoreSnapshot(
         generation=int(p["generation"]),
         workload_ids=tuple(p["workload_ids"]),
         libraries=MappingProxyType({}),
         union_kernels=int(p["union_kernels"]),
         union_functions=int(p["union_functions"]),
-        reductions=tuple(
-            serialize.library_from_payload(r) for r in p["reductions"]
-        ),
+        reductions=reductions,
     )
 
 
@@ -252,8 +264,12 @@ _EMPTY_SNAPSHOT = StoreSnapshot(
 
 #: A worker checkpoints itself once its write-ahead logs hold this many
 #: records, whether or not the engine checkpoints on a cadence, so a
-#: respawned worker never has more than this to replay.
-CHECKPOINT_EVERY_RECORDS = 64
+#: respawned worker never has more than this to replay.  A record replays
+#: at the cost of what it changed - a duplicate admit in about a
+#: millisecond - while a checkpoint rewrites the whole image on the
+#: request path (~0.6 s for two frameworks at scale 0.125), so steady
+#: re-admission traffic is better served by rarer checkpoints.
+CHECKPOINT_EVERY_RECORDS = 256
 
 
 class _WorkerShard:
@@ -292,6 +308,14 @@ class ShardWorker:
             fsync_batch_n=int(config.get("fsync_batch_n", 8)),
         )
         self._shards: dict[str, _WorkerShard] = {}
+        #: Names this process's row tokens apart from any earlier boot's,
+        #: so a client never keeps rows across a respawn.
+        self._boot = os.urandom(8).hex()
+        self._row_serial = 0
+        #: framework -> (reductions tuple last summarised, its token).  A
+        #: store reuses its tuple while no row changes, so identity says
+        #: whether a client's rows are current.
+        self._row_tokens: dict[str, tuple[tuple, str]] = {}
 
     def shard(self, framework_name: str) -> _WorkerShard:
         from repro.frameworks.catalog import get_framework
@@ -403,11 +427,34 @@ class ShardWorker:
     def _op_ping(self, request: dict) -> dict:
         return {"pid": os.getpid(), "frameworks": sorted(self._shards)}
 
+    def _summary(self, request: dict) -> dict:
+        """The store's current summary for the requesting client.
+
+        Rows are left out when the request's ``rows`` token names the
+        rows the store holds now.  The loop serves one request at a time,
+        so after a mutation this is exactly its post-commit epoch.
+        """
+        name = request["framework"]
+        store = self._existing(name)
+        snap = store.snapshot() if store is not None else _EMPTY_SNAPSHOT
+        held = self._row_tokens.get(name)
+        if held is None or held[0] is not snap.reductions:
+            self._row_serial += 1
+            held = (snap.reductions, f"{self._boot}-{self._row_serial}")
+            self._row_tokens[name] = held
+        token = held[1]
+        return store_snapshot_to_payload(
+            snap, token, rows=request.get("rows") != token
+        )
+
     def _op_admit(self, request: dict) -> dict:
         store = self.store(request["framework"])
         spec = serialize.spec_from_payload(request["spec"])
         result = store.admit(spec, verify=bool(request.get("verify")))
-        return {"result": admission_to_payload(result)}
+        return {
+            "result": admission_to_payload(result),
+            "summary": self._summary(request),
+        }
 
     def _op_admit_many(self, request: dict) -> dict:
         store = self.store(request["framework"])
@@ -415,21 +462,25 @@ class ShardWorker:
             serialize.spec_from_payload(p) for p in request["specs"]
         ]
         results = store.admit_many(specs, verify=bool(request.get("verify")))
-        return {"results": [admission_to_payload(r) for r in results]}
+        return {
+            "results": [admission_to_payload(r) for r in results],
+            "summary": self._summary(request),
+        }
 
     def _op_evict(self, request: dict) -> dict:
         store = self.store(request["framework"])
         result = store.evict(request["workload_id"])
-        return {"result": eviction_to_payload(result)}
+        return {
+            "result": eviction_to_payload(result),
+            "summary": self._summary(request),
+        }
 
     def _op_reset(self, request: dict) -> dict:
         self.store(request["framework"]).reset()
-        return {}
+        return {"summary": self._summary(request)}
 
     def _op_snapshot(self, request: dict) -> dict:
-        store = self._existing(request["framework"])
-        snap = store.snapshot() if store is not None else _EMPTY_SNAPSHOT
-        return {"snapshot": store_snapshot_to_payload(snap)}
+        return {"snapshot": self._summary(request)}
 
     def _op_stats(self, request: dict) -> dict:
         store = self._existing(request["framework"])
@@ -952,13 +1003,27 @@ class RemoteShardSupervisor:
 
 
 class RemoteStoreClient:
-    """The ``DebloatStore`` duck-type for one framework on one supervisor."""
+    """The ``DebloatStore`` duck-type for one framework on one supervisor.
+
+    Every mutating reply carries the worker's post-commit summary, which
+    the client keeps as :attr:`committed`; a caller that needs the epoch
+    its mutation produced reads that instead of asking again.  The
+    client also keeps the reduction rows of the last summary and sends
+    their token with each request, so the worker ships rows only when
+    they changed.  One lock orders each call with the install of its
+    reply, so :attr:`committed` only moves forward in worker order.
+    """
 
     def __init__(self, supervisor: RemoteShardSupervisor,
                  framework_name: str) -> None:
         self._sup = supervisor
         self.framework_name = framework_name
         self.last_error: str | None = None
+        self._lock = threading.Lock()
+        self._rows_token: str | None = None
+        self._rows: tuple = ()
+        #: The newest summary any reply carried (no remote read).
+        self.committed: StoreSnapshot = _EMPTY_SNAPSHOT
 
     @property
     def worker(self) -> str:
@@ -971,14 +1036,26 @@ class RemoteStoreClient:
             self.last_error = f"{type(exc).__name__}: {exc}"
             raise
 
+    def _call_summarised(self, op: str, key: str = "summary", **args):
+        """One call whose reply carries a summary; returns (value, snap)."""
+        with self._lock:
+            value = self._call(op, rows=self._rows_token, **args)
+            # Rows are left out only when the token sent is current, and
+            # the lock keeps it from changing while the call is out.
+            snap = store_snapshot_from_payload(value[key], self._rows)
+            self._rows_token = value[key]["rows_token"]
+            self._rows = snap.reductions
+            self.committed = snap
+            return value, snap
+
     def admit(self, spec, verify: bool = False) -> AdmissionResult:
-        value = self._call(
+        value, _ = self._call_summarised(
             "admit", spec=serialize.spec_to_payload(spec), verify=verify
         )
         return admission_from_payload(value["result"])
 
     def admit_many(self, specs, verify: bool = False):
-        value = self._call(
+        value, _ = self._call_summarised(
             "admit_many",
             specs=[serialize.spec_to_payload(s) for s in specs],
             verify=verify,
@@ -986,14 +1063,14 @@ class RemoteStoreClient:
         return [admission_from_payload(p) for p in value["results"]]
 
     def evict(self, workload_id: str) -> EvictionResult:
-        value = self._call("evict", workload_id=workload_id)
+        value, _ = self._call_summarised("evict", workload_id=workload_id)
         return eviction_from_payload(value["result"])
 
     def reset(self) -> None:
-        self._call("reset")
+        self._call_summarised("reset")
 
     def snapshot(self) -> StoreSnapshot:
-        return store_snapshot_from_payload(self._call("snapshot")["snapshot"])
+        return self._call_summarised("snapshot", key="snapshot")[1]
 
     @property
     def generation(self) -> int:

@@ -56,6 +56,7 @@ class AdmissionTicket:
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _result: AdmissionResult | None = None
     _error: BaseException | None = None
+    _claimed: bool = False
     _error_tb: object = None
     #: Wall-clock seconds from submit to completion (queueing included).
     latency_s: float | None = None
@@ -100,20 +101,24 @@ class AdmissionTicket:
         clone.__suppress_context__ = err.__suppress_context__
         return clone.with_traceback(self._error_tb)
 
-    def _resolve(
+    def _claim(
         self,
         started: float,
         result: AdmissionResult | None,
         error: BaseException | None,
     ) -> bool:
-        """First resolution wins; returns whether this call was it.
+        """Record the outcome; the first claim wins, and says so.
 
-        Idempotence lets ``close()`` fail a ticket whose worker is stuck
-        without racing that worker's own (late) resolution.
+        Claiming does not wake waiters - :meth:`_notify` does - so the
+        server can count the outcome in between, and a waiter that wakes
+        always finds itself counted.  The first-claim rule lets
+        ``close()`` fail a ticket whose worker is stuck without racing
+        that worker's own (late) resolution.
         """
         with self._lock:
-            if self._done.is_set():
+            if self._claimed:
                 return False
+            self._claimed = True
             self.latency_s = time.perf_counter() - started
             self._result = result
             self._error = error
@@ -123,8 +128,11 @@ class AdmissionTicket:
             self._error_tb = (
                 error.__traceback__ if error is not None else None
             )
-            self._done.set()
             return True
+
+    def _notify(self) -> None:
+        """Wake every waiter (after a winning :meth:`_claim`)."""
+        self._done.set()
 
 
 _SHUTDOWN = object()
@@ -351,7 +359,7 @@ class DebloatServer:
             leftovers = [t for t, _ in self._pending.values()]
             self._pending.clear()
         for ticket in leftovers:
-            won = ticket._resolve(
+            won = ticket._claim(
                 time.perf_counter(),
                 None,
                 ServerClosedError(
@@ -362,6 +370,7 @@ class DebloatServer:
             if won:
                 with self._state_lock:
                     self._failed += 1
+                ticket._notify()
 
     def __enter__(self) -> "DebloatServer":
         return self
@@ -467,7 +476,9 @@ class DebloatServer:
         result: AdmissionResult | None,
         error: BaseException | None,
     ) -> None:
-        won = ticket._resolve(started, result, error)
+        # Count before waking the waiter: a caller that returns from
+        # ``result()`` and reads stats() must find its admission counted.
+        won = ticket._claim(started, result, error)
         with self._state_lock:
             self._pending.pop(id(ticket), None)
             if won:
@@ -475,6 +486,8 @@ class DebloatServer:
                     self._served += 1
                 else:
                     self._failed += 1
+        if won:
+            ticket._notify()
 
     def _admit_batch(
         self, batch: list[tuple[AdmissionTicket, float]]

@@ -51,10 +51,11 @@ same N - which is why ``debloat_many`` is now a thin loop over
 
 from __future__ import annotations
 
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -218,6 +219,9 @@ class DebloatStore:
         self._generation = 0
         self._arch: int | None = None
         self._features: frozenset[str] = frozenset()
+        #: soname -> union kernel names.  Like every union field, a set is
+        #: rebound on write and never mutated in place, so an epoch
+        #: capture is a shallow copy.
         self._union_kernels: dict[str, set[str]] = {}
         #: soname -> sorted-unique int64 used-function indices; kept as
         #: arrays so membership growth checks and union merges run at
@@ -244,6 +248,14 @@ class DebloatStore:
         #: layer; rebind-on-write epochs make identity comparison an exact
         #: change detector.
         self._block_synced: dict[str, DebloatedLibrary] = {}
+        #: soname -> (DebloatedLibrary, its report row) as last published;
+        #: the same identity rule says which rows a publish must rebuild.
+        self._rows: dict[str, tuple[DebloatedLibrary, LibraryReduction]] = {}
+        #: What the last commit validated: (ledger list, its length,
+        #: distinct specs).  An admission only appends to the ledger list,
+        #: so the next commit checks just the appended entries; every
+        #: other ledger write rebinds the list and gets the full check.
+        self._checked: tuple | None = None
         self._snapshot = StoreSnapshot(
             generation=0,
             workload_ids=(),
@@ -301,7 +313,7 @@ class DebloatStore:
         state = self._capture_epoch_locked()
         try:
             yield
-            self._validate_invariants_locked()
+            checked = self._validate_invariants_locked(full=False)
             if op is not None:
                 self._wal_append_locked(op, args or {})
         except BaseException as exc:
@@ -316,6 +328,7 @@ class DebloatStore:
             self.last_error = f"{type(exc).__name__}: {exc}"
             raise
         else:
+            self._checked = checked
             self._publish_snapshot()
             self._sync_blocks_locked()
 
@@ -324,11 +337,9 @@ class DebloatStore:
             "generation": self._generation,
             "arch": self._arch,
             "features": self._features,
-            # Kernel sets are mutated in place by the merge; everything
-            # else is rebind-on-write, so shallow container copies suffice.
-            "union_kernels": {
-                k: set(v) for k, v in self._union_kernels.items()
-            },
+            # Union sets and arrays are rebind-on-write, so shallow
+            # container copies suffice.
+            "union_kernels": dict(self._union_kernels),
             "union_functions": dict(self._union_functions),
             "admitted": list(self._admitted),
             "usage": dict(self._usage),
@@ -370,6 +381,8 @@ class DebloatStore:
         """
         current = self._debloated
         previous = self._block_synced
+        if current is previous:
+            return
         for soname, d in current.items():
             prev = previous.get(soname)
             if prev is d:
@@ -387,7 +400,8 @@ class DebloatStore:
             if soname not in current:
                 self._blocks.release(self._block_owner, f"comp:{soname}")
                 self._blocks.release(self._block_owner, f"orig:{soname}")
-        self._block_synced = dict(current)
+        # Library maps are rebound on write, never mutated in place.
+        self._block_synced = current
 
     def validate_invariants(self) -> None:
         """Check epoch consistency; raise :class:`StoreInvariantError`.
@@ -400,7 +414,7 @@ class DebloatStore:
         because it runs *before* the epoch is mirrored.
         """
         with self._admission_lock:
-            self._validate_invariants_locked()
+            self._validate_invariants_locked(full=True)
             self._validate_blocks_locked()
 
     def _validate_blocks_locked(self) -> None:
@@ -458,15 +472,34 @@ class DebloatStore:
         manifest = self.block_manifest(soname)
         return None if manifest is None else self._blocks.view(manifest)
 
-    def _validate_invariants_locked(self) -> None:
+    def _validate_invariants_locked(self, full: bool) -> tuple:
+        """Check the epoch; return what :attr:`_checked` records for it.
+
+        ``full=False`` (commit time) costs the distinct specs plus the
+        ledger entries appended since the last validated epoch: when the
+        ledger list is still that epoch's object, its prefix is already
+        validated.  Evict, reset, import and rollback rebind the ledger,
+        so they always get the full check, as does the public
+        :meth:`validate_invariants`.
+        """
         problems: list[str] = []
         if len(self._marginal_kernels) != len(self._admitted):
             problems.append(
                 f"{len(self._admitted)} admissions but "
                 f"{len(self._marginal_kernels)} marginal entries"
             )
-        admitted = set(self._admitted)
-        if admitted != set(self._usage):
+        checked = None if full else self._checked
+        if (
+            checked is not None
+            and checked[0] is self._admitted
+            and len(self._admitted) >= checked[1]
+        ):
+            admitted = checked[2].union(self._admitted[checked[1]:])
+        else:
+            admitted = set(self._admitted)
+        # set(dict) reuses the dict's stored hashes: no spec is re-hashed.
+        distinct = set(self._usage)
+        if admitted != distinct:
             problems.append("admission ledger and usage map disagree")
         if self._admitted:
             if self._arch is None:
@@ -483,10 +516,11 @@ class DebloatStore:
                     )
         elif self._debloated:
             problems.append("empty store still holds libraries")
-        if not set(self._locates) <= set(self._debloated):
+        if not self._locates.keys() <= self._debloated.keys():
             problems.append("locate results for libraries not in the store")
         if problems:
             raise StoreInvariantError("; ".join(problems))
+        return self._admitted, len(self._admitted), distinct
 
     # -- write-ahead logging ---------------------------------------------------
 
@@ -629,13 +663,14 @@ class DebloatStore:
                 )
 
                 results = self._process(to_process, added_kernels)
-                new_debloated = dict(self._debloated)
                 locate_compact_s = 0.0
-                for soname, gpu_res, d, elapsed in results:
-                    new_debloated[soname] = d
-                    self._locates[soname] = gpu_res
-                    locate_compact_s += elapsed
-                self._debloated = new_debloated
+                if results:
+                    new_debloated = dict(self._debloated)
+                    for soname, gpu_res, d, elapsed in results:
+                        new_debloated[soname] = d
+                        self._locates[soname] = gpu_res
+                        locate_compact_s += elapsed
+                    self._debloated = new_debloated
 
                 self._admitted.append(spec)
                 self._usage.setdefault(spec, usage)
@@ -688,43 +723,58 @@ class DebloatStore:
         """Merge one workload's usage into the union (admission lock held).
 
         Returns ``(added_kernels, grown_fn, marginal_kernels,
-        marginal_functions)``.  Function unions are sorted-unique int64
-        arrays: growth detection is one ``np.setdiff1d`` probe and the
-        merge one ``np.union1d`` - no Python set algebra on paper-scale
-        index sets.
+        marginal_functions)``.  A spec the ledger already holds merges
+        nothing and touches no array: its recorded usage is in the union
+        by construction (evict prunes ``_usage`` as it rebuilds the
+        union).  The membership test is taken here, under the lock - an
+        ``evict`` may land between ``admit``'s unlocked lookup and this
+        merge, and then the spec is merged for real.
         """
         faults.check("store.merge")
-        before = sum(len(v) for v in self._union_kernels.values())
-        before_fn = sum(int(v.size) for v in self._union_functions.values())
+        if spec in self._usage:
+            return {}, set(), 0, 0
+        merged = self._union_in(usage)
+        self._features = self._features | spec.features
+        return merged
+
+    def _union_in(
+        self, usage: WorkloadUsage
+    ) -> tuple[dict[str, frozenset[str]], set[str], int, int]:
+        """Grow the union by one usage record; return what it added.
+
+        Kernel sets and function arrays are rebound on write.  Function
+        arrays are sorted-unique on both sides (:func:`_sorted_unique`),
+        so the growth probe is a binary search and the merge one ordered
+        insert of the missing indices - no re-sort of the union, and a
+        library that did not grow keeps its array.
+        """
         added_kernels: dict[str, frozenset[str]] = {}
+        marginal = 0
         for soname, names in usage.kernels.items():
-            new = names - self._union_kernels.get(soname, frozenset())
+            have = self._union_kernels.get(soname)
+            new = names if have is None else names - have
             if new:
                 added_kernels[soname] = frozenset(new)
+                self._union_kernels[soname] = (
+                    set(new) if have is None else have | new
+                )
+                marginal += len(new)
         grown_fn: set[str] = set()
+        marginal_fn = 0
         for soname, idx in usage.functions.items():
             have = self._union_functions.get(soname)
             if have is None:
-                if idx.size:
-                    grown_fn.add(soname)
-            elif np.setdiff1d(idx, have).size:
+                new = idx
+                self._union_functions[soname] = idx
+            else:
+                new = _missing(have, idx)
+                if new.size:
+                    self._union_functions[soname] = np.insert(
+                        have, np.searchsorted(have, new), new
+                    )
+            if new.size:
                 grown_fn.add(soname)
-
-        for soname, new in added_kernels.items():
-            self._union_kernels.setdefault(soname, set()).update(new)
-        for soname, idx in usage.functions.items():
-            have = self._union_functions.get(soname)
-            self._union_functions[soname] = (
-                np.union1d(have, idx)
-                if have is not None
-                else np.unique(np.asarray(idx, dtype=np.int64))
-            )
-        marginal = sum(len(v) for v in self._union_kernels.values()) - before
-        marginal_fn = (
-            sum(int(v.size) for v in self._union_functions.values())
-            - before_fn
-        )
-        self._features = self._features | spec.features
+                marginal_fn += int(new.size)
         return added_kernels, grown_fn, marginal, marginal_fn
 
     def admit_many(
@@ -921,12 +971,13 @@ class DebloatStore:
             ]
             processed = self._process(to_process, batch_added)
             per_lib_cost: dict[str, float] = {}
-            new_debloated = dict(self._debloated)
-            for soname, gpu_res, d, elapsed in processed:
-                new_debloated[soname] = d
-                self._locates[soname] = gpu_res
-                per_lib_cost[soname] = elapsed
-            self._debloated = new_debloated
+            if processed:
+                new_debloated = dict(self._debloated)
+                for soname, gpu_res, d, elapsed in processed:
+                    new_debloated[soname] = d
+                    self._locates[soname] = gpu_res
+                    per_lib_cost[soname] = elapsed
+                self._debloated = new_debloated
             self._stat_recompactions += len(to_process)
 
             cost_of: list[float] = [0.0] * len(specs)
@@ -1037,10 +1088,13 @@ class DebloatStore:
 
     def _capture(self, spec: WorkloadSpec) -> tuple[WorkloadUsage, bool]:
         if self._use_cache:
-            return cached_usage(
+            usage, cached = cached_usage(
                 spec, self.framework, cache=self._pipeline_cache()
             )
-        return capture_usage(spec, self.framework, self.options.costs), False
+        else:
+            usage = capture_usage(spec, self.framework, self.options.costs)
+            cached = False
+        return _sorted_unique(usage), cached
 
     def _validate(self, spec: WorkloadSpec) -> None:
         _check_spec(self.framework.name, self._arch, spec)
@@ -1062,12 +1116,9 @@ class DebloatStore:
     def _publish_snapshot(self) -> None:
         reductions: tuple[LibraryReduction, ...] = ()
         if self._admitted:
-            reductions = tuple(
-                LibraryReduction.from_debloated(
-                    lib, self._debloated[lib.soname]
-                )
-                for lib in self.framework.libraries_for(self._features)
-            )
+            reductions = self._reductions_locked()
+        else:
+            self._rows = {}
         self._snapshot = StoreSnapshot(
             generation=self._generation,
             workload_ids=tuple(s.workload_id for s in self._admitted),
@@ -1080,6 +1131,31 @@ class DebloatStore:
             ),
             reductions=reductions,
         )
+
+    def _reductions_locked(self) -> tuple[LibraryReduction, ...]:
+        """Report rows in catalog order, rebuilding only changed ones.
+
+        A row is a pure function of the original library and its
+        :class:`DebloatedLibrary`, which is rebound on write, so object
+        identity says exactly which rows are stale.  When none is, the
+        previous snapshot's tuple is reused as is.
+        """
+        rows: list[LibraryReduction] = []
+        memo: dict[str, tuple[DebloatedLibrary, LibraryReduction]] = {}
+        for lib in self.framework.libraries_for(self._features):
+            d = self._debloated[lib.soname]
+            hit = self._rows.get(lib.soname)
+            if hit is None or hit[0] is not d:
+                hit = (d, LibraryReduction.from_debloated(lib, d))
+            memo[lib.soname] = hit
+            rows.append(hit[1])
+        self._rows = memo
+        previous = self._snapshot.reductions
+        if len(rows) == len(previous) and all(
+            map(operator.is_, rows, previous)
+        ):
+            return previous
+        return tuple(rows)
 
     # -- reporting ------------------------------------------------------------
 
@@ -1275,7 +1351,7 @@ class DebloatStore:
             ]
             usage = {
                 serialize.spec_from_payload(entry["spec"]):
-                    usage_from_payload(entry["usage"])
+                    _sorted_unique(usage_from_payload(entry["usage"]))
                 for entry in payload["usage"]
             }
             marginal = [int(n) for n in payload["marginal_kernels"]]
@@ -1356,36 +1432,25 @@ class DebloatStore:
                     f"{workload_id!r} is not admitted; held: "
                     f"{sorted({s.workload_id for s in self._admitted})}"
                 )
-            kept_specs = {s for s in keep}
             with self._txn("evict", {"workload_id": workload_id}):
+                # The ledger and the usage map hold the same specs, so
+                # filtering by id hashes no spec.
                 self._usage = {
-                    s: u for s, u in self._usage.items() if s in kept_specs
+                    s: u
+                    for s, u in self._usage.items()
+                    if s.workload_id != workload_id
                 }
                 old_kernels = self._union_kernels
                 old_functions = self._union_functions
                 self._union_kernels = {}
                 self._union_functions = {}
-                self._marginal_kernels = []
-                for spec in keep:
-                    usage = self._usage[spec]
-                    before = sum(
-                        len(v) for v in self._union_kernels.values()
-                    )
-                    for soname, names in usage.kernels.items():
-                        self._union_kernels.setdefault(
-                            soname, set()
-                        ).update(names)
-                    for soname, idx in usage.functions.items():
-                        have = self._union_functions.get(soname)
-                        self._union_functions[soname] = (
-                            np.union1d(have, idx)
-                            if have is not None
-                            else np.unique(np.asarray(idx, dtype=np.int64))
-                        )
-                    self._marginal_kernels.append(
-                        sum(len(v) for v in self._union_kernels.values())
-                        - before
-                    )
+                # Each distinct kept spec merges once, at its first ledger
+                # entry; a repeat adds nothing to the union, so marginal 0.
+                unmerged = dict(self._usage)
+                self._marginal_kernels = [
+                    0 if usage is None else self._union_in(usage)[2]
+                    for usage in (unmerged.pop(s, None) for s in keep)
+                ]
                 self._admitted = keep
                 if not keep:
                     # Last admission gone: the store is empty, not "serving
@@ -1404,7 +1469,7 @@ class DebloatStore:
                         dropped_libraries=dropped,
                     )
                 self._features = frozenset().union(
-                    *(s.features for s in keep)
+                    *(s.features for s in self._usage)
                 )
 
                 libs = self.framework.libraries_for(self._features)
@@ -1489,6 +1554,34 @@ class DebloatStore:
             out["wal_records"] = wal.records_on_disk
             out["wal_failures"] = self._stat_wal_failures
         return out
+
+
+def _sorted_unique(usage: WorkloadUsage) -> WorkloadUsage:
+    """``usage`` with sorted-unique int64 function arrays.
+
+    Captured usage already is (the profiler sorts a set), so this returns
+    the same object and the recorded usage - and so the store image -
+    stays exactly what was captured; only a hand-built or foreign record
+    is normalised.
+    """
+    functions = {}
+    changed = False
+    for soname, idx in usage.functions.items():
+        arr = np.asarray(idx, dtype=np.int64)
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
+            arr = np.unique(arr)
+        changed = changed or arr is not idx
+        functions[soname] = arr
+    return replace(usage, functions=functions) if changed else usage
+
+
+def _missing(have: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Entries of sorted-unique ``idx`` absent from sorted-unique ``have``."""
+    if not have.size or not idx.size:
+        return idx
+    pos = np.searchsorted(have, idx)
+    np.minimum(pos, have.size - 1, out=pos)
+    return idx[have[pos] != idx]
 
 
 def _fn_union_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:

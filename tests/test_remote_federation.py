@@ -429,24 +429,85 @@ class TestRemoteFaultSites:
             assert shard.store.snapshot().generation == 1
         assert pool.supervisor_for("pytorch").restarts == 1
 
-    def test_failed_read_after_committed_admit_keeps_serving(self, pool):
-        """The server's post-commit health read fails: the admission
-        stands (no re-admission) and the worker thread keeps serving."""
+    def test_served_admission_is_one_remote_call(self, pool, monkeypatch):
+        """A served admission makes one worker call: the admit reply
+        carries the post-commit summary, which becomes the shard's
+        last-good epoch, and the server's success hook reads nothing."""
+        from repro.serving.remote import RemoteShardProcess
+
+        ops: list[str] = []
+        call = RemoteShardProcess.call
+
+        def counted(self, op, *args, **kwargs):
+            ops.append(op)
+            return call(self, op, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteShardProcess, "call", counted)
         fed = StoreFederation(fed_config(), remote_pool=pool)
-        # A served admission makes three remote calls: the admit, the
-        # federation's last-good read, and the server's record_success
-        # read.  Drop the response of the first admission's third call.
+        shard = fed.shard("pytorch")
+        with DebloatServer(fed, workers=1) as server:
+            for spec in pt_specs() + pt_specs()[:1]:
+                result = server.submit(spec).result(timeout=60)
+                assert shard.last_good.generation == result.generation
+        assert ops == ["admit"] * 4
+        assert result.duplicate
+        assert shard.last_good.workload_ids == (*PT_IDS, PT_IDS[0])
+
+    def test_dropped_admit_reply_is_retried_as_a_duplicate(self, pool):
+        """The worker commits but its reply is lost: the retry respawns
+        the worker, which recovers the admission from its WAL, and admits
+        again as a duplicate; last-good ends at the newest epoch."""
+        fed = StoreFederation(fed_config(), remote_pool=pool)
         plan = faults.FaultPlan(
-            (faults.FaultRule("remote.recv", ordinals=(3,)),), seed=1
+            (faults.FaultRule("remote.recv", ordinals=(1,)),), seed=1
         )
         with faults.fault_plan(plan):
             with DebloatServer(fed, workers=1) as server:
                 first = server.submit(pt_specs()[0]).result(timeout=60)
                 second = server.submit(pt_specs()[1]).result(timeout=60)
-        assert [f.ordinal for f in plan.fired] == [3]
-        assert (first.generation, second.generation) == (1, 2)
-        assert fed.shard("pytorch").state == "ok"
+        assert [f.ordinal for f in plan.fired] == [1]
+        # Whether the worker committed before the respawn killed it is a
+        # race; either way the retry lands the admission exactly once
+        # more and the reply-fed last-good epoch is the newest one.
+        assert first.generation == 1 + int(first.duplicate)
+        assert second.generation == first.generation + 1
+        shard = fed.shard("pytorch")
+        assert shard.state == "ok"
+        assert shard.last_good == shard.store.snapshot()
         assert pool.supervisor_for("pytorch").restarts == 1
+
+    def test_out_of_order_success_never_rolls_last_good_back(self):
+        fed = StoreFederation(fed_config())
+        fed.admit(pt_specs()[0])
+        shard = fed.shard("pytorch")
+        older = shard.committed()
+        fed.admit(pt_specs()[1])
+        newer = shard.last_good
+        assert newer.generation == older.generation + 1
+        shard.note_success(older)
+        assert shard.last_good is newer
+
+    def test_snapshot_ships_rows_only_when_they_changed(self, pool):
+        """Summaries leave out the reduction rows the client holds; a
+        respawned worker names its rows afresh, so the client refetches."""
+        fed = StoreFederation(fed_config(), remote_pool=pool)
+        fed.admit(pt_specs()[0])
+        client = fed.shard("pytorch").store
+        sup = pool.supervisor_for("pytorch")
+        token = client._rows_token
+        held = sup.call("snapshot", framework="pytorch", rows=token)
+        assert held["snapshot"]["reductions"] is None
+        fresh = sup.call("snapshot", framework="pytorch")
+        assert len(fresh["snapshot"]["reductions"]) == len(
+            client.snapshot().reductions
+        )
+        fed.admit(pt_specs()[0])  # a duplicate changes no row
+        assert client._rows_token == token
+        sup.kill()
+        snap = client.snapshot()
+        assert client._rows_token != token
+        assert snap.generation == 2
+        assert snap.reductions == fed.shard("pytorch").last_good.reductions
 
     def test_ci_standard_mixed_traffic_sigkill_byte_identity(
         self, pytorch, pool

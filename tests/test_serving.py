@@ -579,7 +579,8 @@ class TestTicketErrorIsolation:
         try:
             raise AdmissionError(SPEC_IDS[0], 2, ValueError("boom"))
         except AdmissionError as err:
-            ticket._resolve(0.0, None, err)
+            ticket._claim(0.0, None, err)
+            ticket._notify()
         return ticket
 
     def test_waiters_get_independent_exception_objects(self):
