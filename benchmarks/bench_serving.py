@@ -4,7 +4,7 @@ The serving claim: when workloads arrive over time, a shared
 :class:`~repro.serving.store.DebloatStore` admits each new arrival by
 running detection for that workload only and delta-compacting only the
 libraries its usage actually grew - while the naive serving story
-(re-running ``debloat_many`` over the whole set on every arrival, which is
+(re-debloating the union of the whole set on every arrival, which is
 what a store-less deployment must do to keep one artifact set correct for
 all consumers) recomputes O(n) detections and every library per arrival.
 
@@ -21,7 +21,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.core.debloat import Debloater, DebloatOptions
+from repro.core.debloat import DebloatOptions
 from repro.frameworks.catalog import get_framework
 from repro.serving.store import DebloatStore
 from repro.workloads.spec import TABLE1_WORKLOADS, WorkloadSpec
@@ -66,17 +66,30 @@ def run_incremental(
     return latencies, store
 
 
-def run_naive(
-    specs: list[WorkloadSpec], framework
-) -> tuple[list[float], Debloater]:
-    """Full ``debloat_many`` recompute over the whole set per arrival."""
+def one_shot_union(specs: list[WorkloadSpec], framework) -> dict:
+    """Debloat the union of ``specs`` in a fresh uncached engine; return
+    the debloated libraries."""
+    from repro.api import AdmitRequest, DebloatEngine, EngineConfig
+
+    config = EngineConfig(
+        scale=framework.scale, options=OPTIONS, use_cache=False
+    )
+    with DebloatEngine(config) as engine:
+        shard = engine.federation.ensure_shard(framework)
+        for spec in specs:
+            engine.admit(AdmitRequest(spec=spec))
+        engine.report(framework.name)
+        return shard.store.debloated_libraries()
+
+
+def run_naive(specs: list[WorkloadSpec], framework) -> list[float]:
+    """Full union recompute over the whole set per arrival."""
     latencies = []
-    debloater = Debloater(framework, OPTIONS)
     for i in range(len(specs)):
         start = time.perf_counter()
-        debloater.debloat_many(specs[: i + 1])
+        one_shot_union(specs[: i + 1], framework)
         latencies.append(time.perf_counter() - start)
-    return latencies, debloater
+    return latencies
 
 
 def test_incremental_beats_naive():
@@ -85,7 +98,7 @@ def test_incremental_beats_naive():
     assert len(specs) >= 8
     framework = get_framework("pytorch", scale=TEST_SCALE)
     inc, _ = run_incremental(specs, framework)
-    naive, _ = run_naive(specs, framework)
+    naive = run_naive(specs, framework)
     speedup = sum(naive) / sum(inc)
     print(
         f"\nincremental {sum(inc) * 1e3:.0f} ms total, naive "
@@ -102,9 +115,7 @@ def test_incremental_matches_one_shot_union():
     specs = serving_specs()
     framework = get_framework("pytorch", scale=TEST_SCALE)
     _, store = run_incremental(specs, framework)
-    debloater = Debloater(framework, OPTIONS)
-    debloater.debloat_many(specs)
-    one_shot = debloater.debloated_libraries
+    one_shot = one_shot_union(specs, framework)
     incremental = store.debloated_libraries()
     assert sorted(incremental) == sorted(one_shot)
     for soname, d in incremental.items():
@@ -394,7 +405,7 @@ def main() -> None:
     specs = serving_specs()
     framework = get_framework("pytorch", scale=TEST_SCALE)
     inc, store = run_incremental(specs, framework)
-    naive, _ = run_naive(specs, framework)
+    naive = run_naive(specs, framework)
     fed_specs = federation_specs()
     fed, engine = run_federation(fed_specs)
     fed_stats = engine.stats()

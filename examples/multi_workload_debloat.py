@@ -38,7 +38,7 @@ def main() -> None:
             solo[spec.workload_id] = report.file_reduction_pct
 
         # The union build: admit every workload into the engine's pytorch
-        # store shard, then read the shard's debloat_many-shaped report.
+        # store shard, then read the shard's union report.
         for spec in specs:
             engine.admit(AdmitRequest(spec=spec))
         multi = engine.report("pytorch").union_report

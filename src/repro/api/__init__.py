@@ -16,9 +16,8 @@ The engine hosts a :class:`~repro.api.federation.StoreFederation` - one
 :class:`~repro.serving.store.DebloatStore` shard per framework, routed by
 each request's spec - and applies the configured
 :class:`~repro.api.config.EvictionPolicy` (ttl/lru/pinned) on sweeps.  The
-legacy entry points (``Debloater.debloat_many``,
-``repro.experiments.common.report_for``, the CLIs) are thin adapters over
-this package.
+experiments' ``pipeline_report`` and the CLIs are thin adapters over this
+package.
 """
 
 from repro.api.config import (

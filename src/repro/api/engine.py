@@ -1,8 +1,8 @@
 """`DebloatEngine`: the single public facade over the whole pipeline.
 
 The paper's detect -> locate -> compact -> verify pipeline grew four
-divergent entry points (``Debloater``, ``report_for``, ``DebloatStore``,
-two CLIs), each re-wiring caching, options, and fan-out knobs by hand.  The
+divergent entry points (``Debloater``, the experiments' report helper,
+``DebloatStore``, two CLIs), each re-wiring caching and options by hand.  The
 engine is the one audited boundary in front of all of them:
 
 * constructed from one :class:`~repro.api.config.EngineConfig`;
@@ -95,9 +95,6 @@ class DebloatEngine:
             )
         if not self.config.degraded_modes.quarantine_corrupt_entries:
             self.cache.configure(quarantine=False)
-        from repro.core.debloat import configure_fanout
-
-        configure_fanout(self.config.degraded_modes.fanout_thread_fallback)
         if self.config.remote_shards > 0:
             import os
 
@@ -322,7 +319,7 @@ class DebloatEngine:
         )
 
     def report(self, framework: str) -> EngineResult:
-        """One shard's ``debloat_many``-shaped union report."""
+        """One shard's union report."""
         self._ensure_open()
         start = time.perf_counter()
         report = self.federation.report(framework)
@@ -426,11 +423,9 @@ class DebloatEngine:
 
         Includes the server's worker/sweeper liveness (when a server is
         running), per-shard recovery state and retry counters from the
-        federation, process-wide locate fan-out degradations, and the
-        disk cache's quarantine count.  Safe to call on a closed engine.
+        federation, and the disk cache's quarantine count.  Safe to call on
+        a closed engine.
         """
-        from repro.core.debloat import fanout_events
-
         if self._closed:
             out: dict = {"state": "closed"}
         elif self._server is not None:
@@ -441,8 +436,6 @@ class DebloatEngine:
             out = {"state": target["state"], "target": target}
         if not self._closed:
             out["storage"] = self.federation.storage_stats()
-        events = fanout_events()
-        out["fanout_degraded"] = len(events)
         out["quarantined_entries"] = self.cache.stats().get(
             "disk_quarantined", 0
         )

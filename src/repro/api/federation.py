@@ -325,9 +325,9 @@ class StoreFederation:
     def ensure_shard(self, framework: Framework) -> FederationShard:
         """Register (or fetch) the shard hosting ``framework``.
 
-        The explicit-instance form exists for non-catalog builds (the
-        ``debloat_many`` shim hands over whatever framework the caller
-        constructed); :meth:`shard` creates catalog shards by name.
+        The explicit-instance form exists for non-catalog builds (a caller
+        hands over whatever framework it constructed); :meth:`shard`
+        creates catalog shards by name.
         """
         with self._lock:
             shard = self._shards.get(framework.name)
@@ -813,7 +813,7 @@ class StoreFederation:
         return {"state": state, "shards": rows}
 
     def report(self, framework_name: str) -> MultiWorkloadReport:
-        """One shard's ``debloat_many``-shaped union report."""
+        """One shard's union report."""
         with self._lock:
             shard = self._shards.get(framework_name)
         if shard is None:

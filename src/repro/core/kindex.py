@@ -1,10 +1,9 @@
 """Per-library kernel-usage index: the locate phase's array backbone.
 
 The seed locator re-ran the ``cuobjdump`` extraction and intersected Python
-``set``s of kernel names per element - interpreter-speed work that made the
-per-library fan-out GIL-bound.  :class:`KernelUsageIndex` turns one pass
-over a library's fatbin into flat NumPy arrays the locator can query at
-array speed:
+``set``s of kernel names per element - interpreter-speed work.
+:class:`KernelUsageIndex` turns one pass over a library's fatbin into flat
+NumPy arrays the locator can query at array speed:
 
 * kernel **names become sorted int64 IDs** - stable blake2 hashes (salted
   deterministically until collision-free, see :func:`assign_name_ids`), so

@@ -376,9 +376,8 @@ def value_loads(data: bytes, kind: str) -> Any:
     return payload["value"]
 
 
-#: Public aliases: the cached-value tier persists bare RunMetrics too, the
-#: process-sharded locate/compact fan-out ships LocateResults, and the
-#: store-image / remote-shard payloads reuse the per-object pieces.
+#: Public aliases: the cached-value tier persists bare RunMetrics too, and
+#: the store-image / remote-shard payloads reuse the per-object pieces.
 metrics_to_payload = _metrics_to_payload
 metrics_from_payload = _metrics_from_payload
 locate_to_payload = _locate_to_payload
@@ -463,14 +462,8 @@ def multi_report_from_payload(p: dict[str, Any]):
 
 
 # ---------------------------------------------------------------------------
-# process-shard payloads: SparseFile / DebloatedLibrary across workers
+# library payloads: SparseFile / DebloatedLibrary / LocateResult
 # ---------------------------------------------------------------------------
-
-#: Payload kinds of the process-sharded locate/compact fan-out
-#: (:mod:`repro.core.debloat`): a shard task shipped to a worker process and
-#: the per-library results shipped back.
-SHARD_TASK_KIND = "locate_shard_task"
-SHARD_RESULT_KIND = "locate_shard_result"
 
 
 def sparsefile_to_payload(sf) -> dict[str, Any]:
@@ -512,7 +505,7 @@ def debloated_to_payload(d) -> dict[str, Any]:
     """Wire form of a :class:`~repro.core.compact.DebloatedLibrary`.
 
     Ships the *compacted* bytes plus the removal record; the original
-    library (typically hundreds of MB of generated content the parent
+    library (typically hundreds of MB of generated content the reader
     already holds) is reattached on the other side by
     :func:`debloated_from_payload`, never serialized.
     """
@@ -546,7 +539,8 @@ def debloated_from_payload(p: dict[str, Any], original):
     soname = p["soname"]
     if soname != original.soname:
         raise CacheDecodeError(
-            f"shard result for {soname!r} paired with {original.soname!r}"
+            f"debloated payload for {soname!r} paired with "
+            f"{original.soname!r}"
         )
     lib = parse_shared_library(
         sparsefile_from_payload(p["data"]), soname, bool(p["proprietary"])

@@ -46,6 +46,8 @@ def parse_shared_library(
     shstr_hdr = raw_headers[header.e_shstrndx]
     if shstr_hdr.sh_type != C.SHT_STRTAB:
         raise ElfFormatError(f"{soname}: shstrtab section is not SHT_STRTAB")
+    if shstr_hdr.sh_offset + shstr_hdr.sh_size > data.logical_size:
+        raise ElfFormatError(f"{soname}: shstrtab extends past end of file")
     shstrtab = StringTable(data.read(shstr_hdr.sh_offset, shstr_hdr.sh_size))
 
     sections: list[Section] = []

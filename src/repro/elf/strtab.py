@@ -69,17 +69,30 @@ class StringTable:
         if offset < 0 or offset >= len(self._blob):
             raise ElfFormatError(f"string offset {offset} out of range")
         end = self._blob.index(b"\x00", offset)
-        return self._blob[offset:end].decode("utf-8")
+        return _decode(self._blob[offset:end], offset)
 
     def get_many(self, offsets: np.ndarray) -> list[str]:
         """Vectorized lookup for bulk symbol-name decoding."""
         blob = self._blob
+        if offsets.size and (
+            int(offsets.min()) < 0 or int(offsets.max()) >= len(blob)
+        ):
+            raise ElfFormatError("symbol name offset out of range")
         find = blob.index
         out: list[str] = []
         for off in offsets.tolist():
             end = find(b"\x00", off)
-            out.append(blob[off:end].decode("utf-8"))
+            out.append(_decode(blob[off:end], off))
         return out
 
     def __len__(self) -> int:
         return len(self._blob)
+
+
+def _decode(raw: bytes, offset: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ElfFormatError(
+            f"string at offset {offset} is not UTF-8"
+        ) from exc

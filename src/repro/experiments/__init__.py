@@ -9,8 +9,7 @@ Experiments never run a pipeline directly: they request reports through
 :func:`repro.experiments.common.pipeline_report` - a thin adapter over the
 process-wide :class:`repro.api.DebloatEngine` - which memoizes
 ``WorkloadDebloatReport`` objects in the process-wide
-:data:`~repro.experiments.common.PIPELINE_CACHE`.  (``report_for`` survives
-as a deprecation shim with byte-identical output.)  The cache key is the
+:data:`~repro.experiments.common.PIPELINE_CACHE`.  The cache key is the
 full run identity - ``(workload_id, dataset, batch size, epochs, device,
 world size, loading mode, framework, scale, frozen DebloatOptions)`` - so
 regenerating every table runs each distinct pipeline exactly once and all
@@ -24,7 +23,6 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     PIPELINE_CACHE,
     pipeline_report,
-    report_for,
     table1_reports,
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
@@ -34,7 +32,6 @@ __all__ = [
     "EXPERIMENTS",
     "PIPELINE_CACHE",
     "pipeline_report",
-    "report_for",
     "run_experiment",
     "table1_reports",
 ]

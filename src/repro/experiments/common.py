@@ -40,7 +40,6 @@ only ever costs or saves recomputation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -106,26 +105,11 @@ class PipelineCache:
         options: DebloatOptions | None,
         archs: tuple[int, ...] = SHIPPED_ARCHITECTURES,
     ) -> tuple:
-        # locate_workers / locate_workers_mode are pure tuning knobs -
-        # reports are deterministic for any worker count or fan-out mode
-        # (see DebloatOptions) - so they are normalized out of the
-        # identity: runs with different fan-out share an entry.  The mode
-        # field is *excluded* (not just defaulted) from the frozen tuple so
-        # keys - and therefore the disk-tier digests of entries persisted
-        # before the field existed - stay byte-identical.
-        options = dataclasses.replace(
-            options or DebloatOptions(), locate_workers=0
-        )
-        frozen_options = tuple(
-            item
-            for item in _freeze(options)
-            if item[0] != "locate_workers_mode"
-        )
         return (
             *spec_run_identity(spec),
             spec.framework,
             scale,
-            frozen_options,
+            _freeze(options or DebloatOptions()),
             tuple(archs),
         )
 
@@ -421,39 +405,16 @@ def pipeline_report(
 
     The experiments' canonical path: a thin adapter over the process-wide
     :class:`~repro.api.engine.DebloatEngine`, which routes through
-    :data:`PIPELINE_CACHE` - outputs are byte-identical to the pre-engine
-    ``report_for``.  ``archs`` selects the framework *build* (which fatbin
-    architectures the generated libraries ship); the architecture ablation
-    debloats a single-arch rebuild through the same cache.
+    :data:`PIPELINE_CACHE`.  ``archs`` selects the framework *build*
+    (which fatbin architectures the generated libraries ship); the
+    architecture ablation debloats a single-arch rebuild through the same
+    cache.
     """
     from repro.api import DebloatRequest, default_engine
 
     return default_engine().debloat(
         DebloatRequest(spec=spec, scale=scale, options=options, archs=archs)
     ).report
-
-
-def report_for(
-    spec: WorkloadSpec,
-    scale: float = DEFAULT_SCALE,
-    options: DebloatOptions | None = None,
-    archs: tuple[int, ...] = SHIPPED_ARCHITECTURES,
-) -> WorkloadDebloatReport:
-    """Deprecated alias of :func:`pipeline_report` (the pre-API entry point).
-
-    Returns the byte-identical report the engine produces; new code should
-    call :meth:`repro.api.DebloatEngine.debloat` (or :func:`pipeline_report`
-    inside the experiments package).
-    """
-    import warnings
-
-    warnings.warn(
-        "report_for is deprecated; use repro.api.DebloatEngine.debloat "
-        "(or repro.experiments.common.pipeline_report)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return pipeline_report(spec, scale, options, archs)
 
 
 def instrumented_run_metrics(

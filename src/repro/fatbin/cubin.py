@@ -248,8 +248,13 @@ class Cubin:
         for off in table["name_offset"].tolist():
             if off >= len(name_blob):
                 raise CubinFormatError("kernel name offset out of range")
-            end = name_blob.index(b"\x00", off)
-            names.append(name_blob[off:end].decode("utf-8"))
+            end = name_blob.find(b"\x00", off)
+            if end < 0:
+                raise CubinFormatError("kernel name is not NUL-terminated")
+            try:
+                names.append(name_blob[off:end].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CubinFormatError("kernel name is not UTF-8") from exc
 
         bad_edges = edges >= kernel_count if edge_count else np.zeros(0, dtype=bool)
         if bad_edges.any():

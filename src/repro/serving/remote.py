@@ -351,47 +351,16 @@ class ShardWorker:
         """Boot-time recovery: newest checkpoint plus the WAL tail.
 
         ``progress`` is called as recovery advances (see
-        :meth:`DurabilityController.recover`).  A worker with no durable
-        state of its own imports a snapshot an older release auto-exported
-        into its directory, once.  Whatever recovery replayed or imported
+        :meth:`DurabilityController.recover`).  Whatever recovery replayed
         is folded into a fresh checkpoint before the worker serves, so a
         worker that crashes again never redoes that work.
         """
         report = self.durability.recover(self, progress)
-        if not report["frameworks"]:
-            report["legacy_imported"] = self._import_legacy()
-        if report["replayed"] or report.get("legacy_imported"):
+        if report["replayed"]:
             if progress is not None:
                 progress()
             self._checkpoint()
         return report
-
-    def _import_legacy(self) -> list[str]:
-        """Import a pre-WAL auto-export left at the directory's top level."""
-        from repro.serving import snapshot as snapshots
-
-        root = self.durability.root
-        if not snapshots.snapshot_exists(root):
-            return []
-        try:
-            payloads = snapshots.load_snapshot(root)
-        except (ReproError, OSError) as exc:
-            payloads = {}
-            self._note(f"ignoring unreadable legacy snapshot in {root}", exc)
-        imported = []
-        for name, payload in sorted(payloads.items()):
-            try:
-                self.store(name).import_state(payload)
-                imported.append(name)
-            except (ReproError, OSError) as exc:
-                self._note(f"skipping legacy {name} image in {root}", exc)
-        if imported:
-            print(
-                f"[{self.name}] imported the legacy snapshot in {root} "
-                f"({', '.join(imported)}); it is not read again",
-                file=sys.stderr,
-            )
-        return imported
 
     def _note(self, what: str, exc: BaseException) -> None:
         print(

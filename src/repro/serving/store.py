@@ -2,7 +2,7 @@
 
 The paper's §5 discussion argues that usage saturates: code unused by one
 workload is rarely needed by others, so the *union* of workload usage stops
-growing after a handful of admissions.  ``Debloater.debloat_many`` proves
+growing after a handful of admissions.  A one-shot union debloat proves
 that statically but recomputes every library per call;
 :class:`DebloatStore` makes it a serving primitive:
 
@@ -28,12 +28,8 @@ that statically but recomputes every library per call;
   to the pre-mutation epoch on any exception - a failure mid-``admit``,
   mid-batch in ``admit_many``, or mid-eviction leaves no partially-merged
   union behind (see :class:`~repro.errors.StoreInvariantError`);
-* delta compaction fans out over threads
-  (``DebloatOptions.locate_workers``) while the union merge itself stays
-  serialized under the admission lock; per-library locks additionally
-  order any two compactions of the same library, keeping the fan-out safe
-  for callers that move it outside the admission lock (e.g. future
-  admission batching) - today's serialized merges never contend them;
+* delta locate/compact runs serially per library under the admission
+  lock, like the union merge;
 * :meth:`evict` rebuilds the union from the remaining admissions and
   re-compacts only the libraries whose union shrank; :meth:`reset` clears
   everything;
@@ -44,16 +40,14 @@ that statically but recomputes every library per call;
 Incremental admission is byte-identical to a one-shot union:
 locate/compact is a pure function of (library, union sets, architecture),
 and retention is monotone in the union, so admitting N workloads one at a
-time ends in exactly the library bytes ``debloat_many`` produces for the
-same N - which is why ``debloat_many`` is now a thin loop over
-:meth:`admit`.
+time ends in exactly the library bytes :meth:`admit_many` produces for
+the same N in one batch.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -210,12 +204,6 @@ class DebloatStore:
             _catalog_build_key(framework) if self._use_cache else None
         )
         self._admission_lock = threading.RLock()
-        # Guards only the per-library lock table (not the admission lock):
-        # pool workers fetch their lock while the admitting thread holds
-        # the admission lock across the fan-out, so the table needs its
-        # own tiny guard to stay deadlock-free.
-        self._locks_guard = threading.Lock()
-        self._lib_locks: dict[str, threading.Lock] = {}
         self._generation = 0
         self._arch: int | None = None
         self._features: frozenset[str] = frozenset()
@@ -992,14 +980,10 @@ class DebloatStore:
         libs: list,
         added_kernels: dict[str, frozenset[str]],
     ) -> list[tuple[str, LocateResult | None, DebloatedLibrary, float]]:
-        """Locate + compact the grown libraries, optionally in parallel.
+        """Locate + compact the grown libraries, one at a time.
 
-        Each library is charged to a private clock, so the fan-out is
-        deterministic and the per-library results are identical whether
-        the loop runs serial or threaded.  The per-library lock is
-        uncontended under today's admission-lock-serialized merges; it
-        exists so two compactions of one library stay ordered if a caller
-        ever runs ``_process`` outside the admission lock.
+        Callers hold the admission lock.  Each library is charged to a
+        private clock.
 
         A pass that dies partway discards every compaction it already
         finished (the enclosing transaction rolls back); those are counted
@@ -1011,51 +995,39 @@ class DebloatStore:
 
         def process_one(lib) -> tuple:
             faults.check("store.process")
-            with self._lib_lock(lib.soname):
-                clock = VirtualClock()
-                index = self._lib_index(lib)
-                prev = self._locates.get(lib.soname)
-                if prev is not None and prev.element_count:
-                    gpu_res = self._kernel_locator.locate_delta(
-                        lib,
-                        prev,
-                        added_kernels.get(lib.soname, frozenset()),
-                        clock=clock,
-                        index=index,
-                    )
-                else:
-                    gpu_res = self._kernel_locator.locate(
-                        lib,
-                        frozenset(self._union_kernels.get(lib.soname, ())),
-                        self._arch,
-                        clock=clock,
-                        index=index,
-                    )
-                used = self._union_functions.get(lib.soname)
-                used_arr = used if used is not None else _EMPTY_INDICES
-                cpu_res = self._function_locator.locate(
-                    lib, used_arr, clock=clock
+            clock = VirtualClock()
+            index = self._lib_index(lib)
+            prev = self._locates.get(lib.soname)
+            if prev is not None and prev.element_count:
+                gpu_res = self._kernel_locator.locate_delta(
+                    lib,
+                    prev,
+                    added_kernels.get(lib.soname, frozenset()),
+                    clock=clock,
+                    index=index,
                 )
-                d = self._compactor.compact(lib, cpu_res, gpu_res, clock=clock)
-                completed.append(lib.soname)
-                return lib.soname, gpu_res, d, clock.now
+            else:
+                gpu_res = self._kernel_locator.locate(
+                    lib,
+                    frozenset(self._union_kernels.get(lib.soname, ())),
+                    self._arch,
+                    clock=clock,
+                    index=index,
+                )
+            used = self._union_functions.get(lib.soname)
+            used_arr = used if used is not None else _EMPTY_INDICES
+            cpu_res = self._function_locator.locate(
+                lib, used_arr, clock=clock
+            )
+            d = self._compactor.compact(lib, cpu_res, gpu_res, clock=clock)
+            completed.append(lib.soname)
+            return lib.soname, gpu_res, d, clock.now
 
-        workers = self.options.locate_workers
         try:
-            if workers and workers > 1 and len(libs) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    return list(pool.map(process_one, libs))
             return [process_one(lib) for lib in libs]
         except BaseException:
             self._stat_rollback_recompactions += len(completed)
             raise
-
-    def _lib_lock(self, soname: str) -> threading.Lock:
-        with self._locks_guard:
-            lock = self._lib_locks.get(soname)
-            if lock is None:
-                lock = self._lib_locks[soname] = threading.Lock()
-            return lock
 
     def _lib_index(self, lib) -> KernelUsageIndex | None:
         """The library's cached :class:`KernelUsageIndex`.
@@ -1162,11 +1134,11 @@ class DebloatStore:
     def report(
         self, verify: bool | None = None, strict: bool | None = None
     ) -> MultiWorkloadReport:
-        """The ``debloat_many``-shaped report for everything admitted.
+        """The union report for everything admitted.
 
         Verification re-runs every admitted workload against the *final*
-        library set (the seed ``debloat_many`` semantics, so the refactored
-        thin loop stays byte-identical to the one-shot union).
+        library set (the one-shot union's semantics, so incremental
+        admission stays byte-identical to it).
         """
         with self._admission_lock:
             if not self._admitted:
@@ -1632,19 +1604,3 @@ def _check_spec(
         raise UsageError(
             "multi-workload debloating requires one device architecture"
         )
-
-
-def validate_union_specs(
-    framework_name: str, specs: list[WorkloadSpec]
-) -> None:
-    """Upfront usage validation for a whole spec list (``debloat_many``).
-
-    Raises :class:`UsageError` - before any workload runs - for an empty
-    list, a workload targeting a different framework, or a mix of device
-    architectures.
-    """
-    if not specs:
-        raise UsageError("debloat_many needs at least one workload")
-    arch = specs[0].devices()[0].sm_arch
-    for spec in specs:
-        _check_spec(framework_name, arch, spec)

@@ -40,8 +40,7 @@ class WorkloadUsage:
     kernels: dict[str, frozenset[str]]
     #: soname -> sorted used-function symbol indices.
     functions: dict[str, np.ndarray]
-    #: Metrics of the fused instrumented run (the verification baseline,
-    #: exactly as ``debloat_many`` recorded them).
+    #: Metrics of the fused instrumented run (the verification baseline).
     metrics: RunMetrics
 
     def kernel_count(self) -> int:

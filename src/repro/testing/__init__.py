@@ -2,9 +2,9 @@
 
 :mod:`repro.testing.faults` is the fault-injection harness: a seedable
 :class:`~repro.testing.faults.FaultPlan` fires typed failures at named
-sites inside the serving, cache, and fan-out code paths, so every
-recovery mechanism (transactional rollback, retry/backoff, pool rebuild,
-quarantine, sweeper survival) is exercised reproducibly in tests and
+sites inside the serving, cache, remote and WAL code paths, so every
+recovery mechanism (transactional rollback, retry/backoff, quarantine,
+sweeper survival) is exercised reproducibly in tests and
 benchmarks rather than only under real production failures.
 """
 

@@ -1,13 +1,13 @@
 """Deterministic fault injection for the serving tier.
 
 Every fault-tolerance mechanism in this repo - transactional admission
-rollback, retry/backoff in the server workers, the process-pool rebuild and
-thread degrade in the locate fan-out, disk-cache quarantine, sweeper
-survival - exists to handle failures that are rare and hard to reproduce.
-This module makes them cheap to reproduce: code at a handful of **named
-fault sites** calls :func:`check`, and an active :class:`FaultPlan` decides
-- deterministically, from its seed and per-site invocation counters -
-whether that call raises an injected failure.
+rollback, retry/backoff in the server workers, disk-cache quarantine,
+sweeper survival - exists to handle failures that are rare and hard to
+reproduce.  This module makes them cheap to reproduce: code at a handful
+of **named fault sites** calls :func:`check`, and an active
+:class:`FaultPlan` decides - deterministically, from its seed and
+per-site invocation counters - whether that call raises an injected
+failure.
 
 Sites instrumented today:
 
@@ -18,8 +18,6 @@ Sites instrumented today:
                            (mid-batch ``admit_many`` rollback)
 ``store.process``          per-library delta locate/compact inside a
                            transaction (mid-admission rollback)
-``locate.shard.<i>``       parent-side collection of process-pool shard *i*
-                           (raises ``BrokenProcessPool``)
 ``diskcache.read``         disk-tier entry decode (treated as a corrupt
                            entry: quarantined + recomputed)
 ``diskcache.write``        disk-tier entry persist (an ``OSError``)
@@ -59,11 +57,11 @@ or an inline rule spec::
 ``site@N1,N2`` fires on those 1-based invocation ordinals of the site;
 ``site%RATE`` fires each invocation with probability RATE drawn from a
 seeded per-rule stream; an optional ``:kind`` suffix picks the injected
-failure (``fault`` | ``broken_pool`` | ``corrupt`` | ``oserror`` |
-``kill`` | ``delay``).  ``kill`` is the crash-matrix kind: instead of
-raising, it sends ``SIGKILL`` to the current process at the fault site,
-simulating a hard crash with no chance to run cleanup - only meaningful
-in a child process driven via ``REPRO_FAULT_PLAN``.  ``delay`` raises
+failure (``fault`` | ``corrupt`` | ``oserror`` | ``kill`` | ``delay``).
+``kill`` is the crash-matrix kind: instead of raising, it sends
+``SIGKILL`` to the current process at the fault site, simulating a hard
+crash with no chance to run cleanup - only meaningful in a child process
+driven via ``REPRO_FAULT_PLAN``.  ``delay`` raises
 nothing either: it stalls the site for :data:`DELAY_S` (a slow disk or a
 loaded host), which is how deadline handling is rehearsed.
 
@@ -82,7 +80,6 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -93,7 +90,7 @@ from repro.utils.rng import RngStream
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Injected-failure kinds a rule may request.
-FAULT_KINDS = ("fault", "broken_pool", "corrupt", "oserror", "kill", "delay")
+FAULT_KINDS = ("fault", "corrupt", "oserror", "kill", "delay")
 
 #: How long a ``delay`` fault stalls its site, in seconds.
 DELAY_S = 0.5
@@ -104,9 +101,10 @@ class FaultRule:
     """One injection rule: where, when, and what to raise.
 
     ``site`` matches an instrumented site exactly, or as a dotted prefix
-    (rule ``locate.shard`` matches site ``locate.shard.2``).  Exactly one
-    of ``ordinals`` (fire on these 1-based matching invocations) or
-    ``rate`` (independent per-invocation probability) must be set.
+    (rule ``wal`` matches sites ``wal.append`` and ``wal.fsync``).
+    Exactly one of ``ordinals`` (fire on these 1-based matching
+    invocations) or ``rate`` (independent per-invocation probability)
+    must be set.
     """
 
     site: str
@@ -214,10 +212,6 @@ class FaultPlan:
 
 
 def _exception_for(kind: str, site: str, ordinal: int) -> BaseException:
-    if kind == "broken_pool":
-        return BrokenProcessPool(
-            f"injected broken pool at {site} (ordinal {ordinal})"
-        )
     if kind == "oserror":
         return OSError(f"injected I/O error at {site} (ordinal {ordinal})")
     # "fault" and "corrupt" both surface as FaultError; the site decides
@@ -279,9 +273,8 @@ def check(site: str) -> None:
 CI_STANDARD_SEED = 20250808
 
 #: The acceptance-criteria plan: one worker kill, one mid-batch merge
-#: fault, one mid-transaction process fault, one broken process pool
-#: (fires only under ``locate_workers_mode="process"``), one corrupt disk
-#: entry, and one sweeper exception.  Every admission driven against it
+#: fault, one mid-transaction process fault, one corrupt disk entry, and
+#: one sweeper exception.  Every admission driven against it
 #: must succeed after retry, and the end-state store must be
 #: byte-identical to a fault-free run of the same arrivals.
 #:
@@ -307,7 +300,6 @@ CI_STANDARD_PLAN = (
     FaultRule("worker.pre_merge", ordinals=(1,)),
     FaultRule("store.merge", ordinals=(2,)),
     FaultRule("store.process", ordinals=(4,)),
-    FaultRule("locate.shard", ordinals=(1,), kind="broken_pool"),
     FaultRule("diskcache.read", ordinals=(1,), kind="corrupt"),
     FaultRule("sweeper.tick", ordinals=(1,)),
     FaultRule("remote.send", ordinals=(2,)),

@@ -80,16 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_debloat.add_argument("workload_id", help="e.g. pytorch/train/mobilenetv2")
     p_debloat.add_argument("--top", type=int, default=12,
                            help="show the top-N libraries by reduction")
-    p_debloat.add_argument("--locate-workers", type=int, default=0,
-                           help="fan the per-library locate/compact loop "
-                           "out over N workers (0 = serial; output is "
-                           "byte-identical for any worker count)")
-    p_debloat.add_argument("--locate-workers-mode", default=None,
-                           choices=("thread", "process"),
-                           help="fan-out mode: GIL-bound threads or "
-                           "library shards across a process pool "
-                           "(default: $REPRO_LOCATE_WORKERS_MODE or "
-                           "thread)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -278,19 +268,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_debloat(args: argparse.Namespace) -> int:
-    from repro.core.debloat import DebloatOptions
-
     spec = workload_by_id(args.workload_id)
-    options = None
-    if args.locate_workers or args.locate_workers_mode:
-        kwargs = {"locate_workers": args.locate_workers}
-        if args.locate_workers_mode:
-            kwargs["locate_workers_mode"] = args.locate_workers_mode
-        options = DebloatOptions(**kwargs)
     with DebloatEngine(engine_config(args)) as engine:
-        report = engine.debloat(
-            DebloatRequest(spec=spec, options=options)
-        ).report
+        report = engine.debloat(DebloatRequest(spec=spec)).report
 
     table = Table(
         ["Library", "File MB (red%)", "CPU MB (red%)", "GPU MB (red%)",
@@ -455,7 +435,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"health: {health['state']} - {stats['retries']} retried "
         f"admission attempt(s), {len(failed)} failed, "
         f"{stats['sweeps_failed']} failed sweep(s), "
-        f"{health['fanout_degraded']} degraded fan-out(s), "
         f"{health['quarantined_entries']} quarantined cache entries"
     )
     for workload_id, err in failed:

@@ -17,7 +17,7 @@ from repro.api import (
     EvictionPolicy,
     InspectRequest,
 )
-from repro.core.debloat import Debloater, DebloatOptions
+from repro.core.debloat import DebloatOptions
 from repro.errors import ConfigurationError, UsageError
 from repro.frameworks.catalog import framework_build_fingerprint, get_framework
 from repro.serving.store import DebloatStore
@@ -159,40 +159,6 @@ class TestDebloatThroughEngine:
         )
 
 
-class TestDeprecationShims:
-    def test_report_for_warns_and_is_byte_identical(self, monkeypatch):
-        from repro.experiments import common as excommon
-
-        monkeypatch.setattr(
-            excommon, "PIPELINE_CACHE", excommon.PipelineCache(enabled=True)
-        )
-        spec = workload_by_id(PT_IDS[1])
-        direct = excommon.pipeline_report(spec, TEST_SCALE)
-        with pytest.warns(DeprecationWarning, match="report_for"):
-            shimmed = excommon.report_for(spec, TEST_SCALE)
-        assert shimmed is direct
-
-    def test_debloat_many_warns_and_matches_store(self, pytorch):
-        debloater = Debloater(pytorch, OPTS)
-        with pytest.warns(DeprecationWarning, match="debloat_many"):
-            report = debloater.debloat_many(pt_specs())
-
-        store = DebloatStore(pytorch, OPTS)
-        for spec in pt_specs():
-            store.admit(spec)
-        expected = store.report()
-        assert report.workload_ids == expected.workload_ids
-        assert report.marginal_new_kernels == expected.marginal_new_kernels
-        assert report.libraries == expected.libraries
-        assert len(report.verifications) == len(expected.verifications)
-        for got, want in zip(report.verifications, expected.verifications):
-            assert got.ok == want.ok
-            assert got.debloated_digest == want.debloated_digest
-        assert_same_libraries(
-            debloater.debloated_libraries, store.debloated_libraries()
-        )
-
-
 class TestFederationRouting:
     def test_admissions_route_by_framework(self, pytorch, tensorflow):
         with DebloatEngine(fed_config()) as engine:
@@ -226,7 +192,7 @@ class TestFederationRouting:
         assert report.union_report.workload_ids == PT_IDS
         assert report.generation == standalone.generation
 
-    def test_report_for_unknown_shard_raises(self):
+    def test_report_of_unknown_shard_raises(self):
         with DebloatEngine(fed_config()) as engine:
             engine.admit(AdmitRequest(workload_id=PT_IDS[0]))
             with pytest.raises(UsageError):

@@ -282,9 +282,7 @@ class TestFusedInstrumentedRun:
         ).debloat(spec)
         parallel = Debloater(
             fw,
-            DebloatOptions(
-                verify=False, runtime_comparison_top_n=0, locate_workers=4
-            ),
+            DebloatOptions(verify=False, runtime_comparison_top_n=0),
         ).debloat(spec)
         assert serial.libraries == parallel.libraries
         assert serial.timing.locate_s == parallel.timing.locate_s

@@ -18,7 +18,7 @@ import pytest
 import repro.experiments.common as common
 from repro.core import serialize
 from repro.core.serialize import reports_equal
-from repro.experiments.common import PipelineCache, report_for
+from repro.experiments.common import PipelineCache, pipeline_report
 from repro.experiments.diskcache import SUFFIX, DiskReportCache
 from repro.experiments.registry import run_experiment
 from repro.workloads.runner import WorkloadRunner
@@ -84,9 +84,9 @@ class TestWarmProcess:
         assert warm.stats()["misses"] == 0
 
     def test_warm_report_is_equal_not_identical(self, cache):
-        a = report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        a = pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         warm = new_process_cache()
-        b = report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        b = pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert b is not a  # deserialized, not shared
         assert reports_equal(a, b)
         assert warm.stats()["disk_hits"] == 1
@@ -105,21 +105,21 @@ class TestWarmProcess:
         monkeypatch.setenv("REPRO_PIPELINE_DISK_CACHE", "0")
         fresh = PipelineCache(enabled=True)
         monkeypatch.setattr(common, "PIPELINE_CACHE", fresh)
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert len(fresh.disk) == 0
         assert fresh.stats()["disk_misses"] == 0  # never even consulted
 
     def test_disk_tier_disabled_by_configure_writes_nothing(self, cache):
         cache.configure(disk_enabled=False)
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert len(cache.disk) == 0
         assert cache.stats()["disk_misses"] == 0
 
     def test_scale_is_part_of_the_disk_key(self, cache, run_counter):
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         new_process_cache()
         run_counter.clear()
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE * 2)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE * 2)
         assert len(run_counter) > 0  # different scale: disk miss, recompute
 
     def test_value_tier_keys_on_archs(self, cache):
@@ -150,7 +150,7 @@ class TestWarmProcess:
     def test_value_tier_experiments_warm_to_zero_runs(
         self, cache, run_counter, experiment
     ):
-        """Experiments outside report_for (tool overheads, ablations) also
+        """Experiments outside pipeline_report (tool overheads, ablations) also
         persist: their cached-value / archs-keyed entries serve a warm
         process without a single workload run."""
         first = run_experiment(experiment, scale=TEST_SCALE)
@@ -172,13 +172,13 @@ class TestCorruptionAndSkew:
     """Bad cache bytes are misses that recompute and overwrite, never errors."""
 
     def _populate(self, cache) -> None:
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
 
     def _assert_recovers(self, cache, run_counter):
         """A fresh process recomputes and heals the mangled entry."""
         warm = new_process_cache()
         run_counter.clear()
-        report = report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        report = pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert len(run_counter) > 0  # fell back to a real pipeline run
         assert warm.stats()["disk_errors"] >= 1
         # ... and the stale entry was overwritten with a readable one.
@@ -222,19 +222,21 @@ class TestCorruptionAndSkew:
         try:
             serialize.SCHEMA_VERSION = original + 1
             path.write_bytes(
-                serialize.dumps(report_for(workload_by_id(SPEC_ID), TEST_SCALE))
+                serialize.dumps(
+                    pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
+                )
             )
         finally:
             serialize.SCHEMA_VERSION = original
         warm = new_process_cache()
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert warm.stats()["disk_errors"] >= 1
 
 
 class TestDiskInvalidation:
     def test_invalidate_removes_matching_files(self, cache):
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
-        report_for(workload_by_id(OTHER_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(OTHER_ID), TEST_SCALE)
         assert len(cache.disk) == 2
 
         removed = cache.invalidate(workload_id=SPEC_ID)
@@ -245,12 +247,12 @@ class TestDiskInvalidation:
 
         # The surviving entry still serves a warm process.
         warm = new_process_cache()
-        report_for(workload_by_id(OTHER_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(OTHER_ID), TEST_SCALE)
         assert warm.stats()["disk_hits"] == 1
 
     def test_invalidate_by_framework_and_scale(self, cache):
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE * 2)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE * 2)
         assert len(cache.disk) == 2
         assert cache.invalidate(scale=TEST_SCALE) == 2
         assert len(cache.disk) == 1
@@ -258,7 +260,7 @@ class TestDiskInvalidation:
         assert len(cache.disk) == 0
 
     def test_unfiltered_invalidate_clears_directory(self, cache):
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         # Unparseable junk in the cache dir goes only on a full wipe.
         junk = cache.disk.directory / "not-a-real-entry.rpdc"
         junk.write_bytes(b"junk")
@@ -271,7 +273,7 @@ class TestDiskInvalidation:
     def test_unfiltered_invalidate_sweeps_orphan_temp_files(self, cache):
         """Temp files from crashed writers don't match the entry glob but
         must still go on a full wipe."""
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         orphan = cache.disk.directory / f"dead{SUFFIX}.tmp12345"
         orphan.write_bytes(b"partial write")
         assert cache.invalidate() >= 3  # entry + memory + orphan
@@ -279,7 +281,7 @@ class TestDiskInvalidation:
 
     def test_corrupt_entries_are_removable(self, cache):
         """Invalidation never deserializes, so it can drop corrupt files."""
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         (path,) = _entry_paths(cache)
         path.write_bytes(b"garbage")
         assert cache.invalidate(workload_id=SPEC_ID) == 2
@@ -297,11 +299,11 @@ class TestDirectoryResolution:
         cache.configure(cache_dir=tmp_path / "pinned")
         monkeypatch.setenv("REPRO_PIPELINE_CACHE_DIR", str(tmp_path / "env"))
         assert cache.disk.directory == tmp_path / "pinned"
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         assert len(list((tmp_path / "pinned").glob("*.rpdc"))) == 1
 
     def test_atomic_write_leaves_no_temp_files(self, cache):
-        report_for(workload_by_id(SPEC_ID), TEST_SCALE)
+        pipeline_report(workload_by_id(SPEC_ID), TEST_SCALE)
         leftovers = [
             p
             for p in cache.disk.directory.iterdir()

@@ -34,8 +34,8 @@ class TestHarness:
             excommon, "PIPELINE_CACHE", excommon.PipelineCache(enabled=True)
         )
         spec = workload_by_id("pytorch/inference/mobilenetv2")
-        a = excommon.report_for(spec, TEST_SCALE)
-        b = excommon.report_for(spec, TEST_SCALE)
+        a = excommon.pipeline_report(spec, TEST_SCALE)
+        b = excommon.pipeline_report(spec, TEST_SCALE)
         assert a is b
 
     def test_cell_formats(self):

@@ -10,9 +10,11 @@ from repro.core.debloat import Debloater, DebloatOptions
 from repro.core.usedbloat import analyze_used_bloat
 from repro.errors import UsageError
 from repro.frameworks.catalog import get_framework
+from repro.serving.store import DebloatStore
 from repro.workloads.spec import workload_by_id
 
 from tests.conftest import TEST_SCALE
+from tests.test_serving import engine_union
 
 
 class TestUsedBloat:
@@ -65,54 +67,52 @@ class TestUsedBloat:
 
 class TestMultiWorkloadDebloat:
     @pytest.fixture(scope="class")
-    def multi(self):
+    def union(self):
         fw = get_framework("pytorch", scale=TEST_SCALE)
-        debloater = Debloater(fw, DebloatOptions(runtime_comparison_top_n=0))
         specs = [
             workload_by_id("pytorch/train/mobilenetv2"),
             workload_by_id("pytorch/inference/mobilenetv2"),
             workload_by_id("pytorch/train/transformer"),
         ]
-        return debloater, debloater.debloat_many(specs)
+        report, _ = engine_union(
+            fw, DebloatOptions(runtime_comparison_top_n=0), specs
+        )
+        return report
 
-    def test_all_workloads_verify(self, multi):
-        _, report = multi
-        assert report.all_verified
-        assert len(report.verifications) == 3
+    def test_all_workloads_verify(self, union):
+        assert union.all_verified
+        assert len(union.verifications) == 3
 
-    def test_reduction_still_substantial(self, multi):
-        _, report = multi
-        assert report.file_reduction_pct > 40
+    def test_reduction_still_substantial(self, union):
+        assert union.file_reduction_pct > 40
 
-    def test_union_retains_more_than_any_solo(self, multi):
-        debloater, report = multi
+    def test_union_retains_more_than_any_solo(self, union):
         fw = get_framework("pytorch", scale=TEST_SCALE)
         solo = Debloater(
             fw, DebloatOptions(runtime_comparison_top_n=0)
         ).debloat(workload_by_id("pytorch/train/mobilenetv2"))
-        assert report.total_file_size_after > solo.total_file_size_after
+        assert union.total_file_size_after > solo.total_file_size_after
 
-    def test_usage_saturates(self, multi):
-        _, report = multi
-        series = report.saturation_series()
+    def test_usage_saturates(self, union):
+        series = union.saturation_series()
         assert series[0][1] > series[1][1]  # first workload pins the most
 
     def test_requires_matching_framework(self):
         fw = get_framework("pytorch", scale=TEST_SCALE)
         with pytest.raises(UsageError):
-            Debloater(fw).debloat_many(
+            DebloatStore(fw).admit_many(
                 [workload_by_id("tensorflow/train/mobilenetv2")]
             )
 
     def test_requires_nonempty(self):
         fw = get_framework("pytorch", scale=TEST_SCALE)
         with pytest.raises(UsageError):
-            Debloater(fw).debloat_many([])
+            DebloatStore(fw).admit_many([])
 
     def test_requires_single_architecture(self):
         fw = get_framework("pytorch", scale=TEST_SCALE)
         with pytest.raises(UsageError):
-            Debloater(fw).debloat_many(
+            DebloatStore(fw).admit_many(
                 [
                     workload_by_id("pytorch/inference/mobilenetv2"),
                     workload_by_id("pytorch/inference/mobilenetv2").variant(

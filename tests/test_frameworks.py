@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError
 from repro.frameworks.catalog import (
     FRAMEWORK_NAMES,
     build_id_for,
+    build_key_for,
     get_framework,
     nvidia_libraries,
     pytorch_spec,
@@ -75,6 +76,19 @@ class TestSpecs:
 
 
 class TestGeneration:
+    def test_catalog_build_key_roundtrip(self, pytorch):
+        from repro.frameworks.spec import Framework
+
+        assert build_key_for(pytorch) is not None
+        name, scale, archs = build_key_for(pytorch)
+        assert get_framework(name, scale=scale, archs=archs) is pytorch
+        # A hand-made framework has no catalog key to regenerate it from.
+        orphan = Framework(
+            spec=pytorch.spec, libraries=pytorch.libraries,
+            scale=pytorch.scale,
+        )
+        assert build_key_for(orphan) is None
+
     def test_deterministic_bytes(self):
         spec = nvidia_libraries()[5]  # libcublas
         a = generate_library(spec, "b1", scale=TEST_SCALE)

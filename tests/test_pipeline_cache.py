@@ -9,7 +9,7 @@ from repro.experiments.common import (
     PIPELINE_CACHE,
     PipelineCache,
     clear_report_cache,
-    report_for,
+    pipeline_report,
 )
 from repro.experiments.registry import run_experiment
 from repro.workloads.spec import workload_by_id
@@ -43,8 +43,8 @@ def cache():
 class TestCacheBehaviour:
     def test_hit_returns_same_object(self, cache):
         spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(spec, TEST_SCALE)
+        a = pipeline_report(spec, TEST_SCALE)
+        b = pipeline_report(spec, TEST_SCALE)
         assert a is b
         assert cache.stats() == {
             "entries": 1,
@@ -61,61 +61,39 @@ class TestCacheBehaviour:
 
     def test_scale_is_part_of_the_key(self, cache):
         spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(spec, TEST_SCALE * 2)
+        a = pipeline_report(spec, TEST_SCALE)
+        b = pipeline_report(spec, TEST_SCALE * 2)
         assert a is not b
         assert len(cache) == 2
 
     def test_options_are_part_of_the_key(self, cache):
         spec = workload_by_id(SPEC_ID)
-        default = report_for(spec, TEST_SCALE)
-        ablated = report_for(
+        default = pipeline_report(spec, TEST_SCALE)
+        ablated = pipeline_report(
             spec,
             TEST_SCALE,
             DebloatOptions(debloat_cpu=False, runtime_comparison_top_n=0),
         )
         assert default is not ablated
         # Equal-valued options objects share an entry.
-        again = report_for(
+        again = pipeline_report(
             spec,
             TEST_SCALE,
             DebloatOptions(debloat_cpu=False, runtime_comparison_top_n=0),
         )
         assert ablated is again
 
-    def test_locate_workers_not_part_of_the_key(self, cache):
-        """Fan-out is a tuning knob with deterministic output: runs with
-        different worker counts must share one cache entry."""
-        spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(spec, TEST_SCALE, DebloatOptions(locate_workers=8))
-        assert a is b
-        assert len(cache) == 1
-
-    def test_locate_workers_mode_not_part_of_the_key(self, cache):
-        """Thread vs process sharding is byte-identical by contract, so
-        both modes must share one cache entry (and one disk digest)."""
-        spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(
-            spec,
-            TEST_SCALE,
-            DebloatOptions(locate_workers=4, locate_workers_mode="process"),
-        )
-        assert a is b
-        assert len(cache) == 1
-
     def test_none_options_equal_default_options(self, cache):
         spec = workload_by_id(SPEC_ID)
-        assert report_for(spec, TEST_SCALE) is report_for(
+        assert pipeline_report(spec, TEST_SCALE) is pipeline_report(
             spec, TEST_SCALE, DebloatOptions()
         )
 
     def test_invalidate_filters(self, cache):
         spec = workload_by_id(SPEC_ID)
         other = workload_by_id("tensorflow/train/mobilenetv2")
-        report_for(spec, TEST_SCALE)
-        report_for(other, TEST_SCALE)
+        pipeline_report(spec, TEST_SCALE)
+        pipeline_report(other, TEST_SCALE)
         assert len(cache) == 2
         # Each eviction drops one in-memory entry AND its disk file.
         assert cache.invalidate(framework="tensorflow") == 2
@@ -126,22 +104,22 @@ class TestCacheBehaviour:
 
     def test_invalidate_forces_recompute(self, cache):
         spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
+        a = pipeline_report(spec, TEST_SCALE)
         assert cache.invalidate() == 2  # memory entry + disk file
-        b = report_for(spec, TEST_SCALE)
+        b = pipeline_report(spec, TEST_SCALE)
         assert a is not b
 
     def test_clear_report_cache_alias(self):
         spec = workload_by_id(SPEC_ID)
-        report_for(spec, TEST_SCALE)
+        pipeline_report(spec, TEST_SCALE)
         clear_report_cache()
         assert len(PIPELINE_CACHE) == 0
 
     def test_disabled_cache_stores_nothing(self, cache):
         cache.configure(enabled=False)
         spec = workload_by_id(SPEC_ID)
-        a = report_for(spec, TEST_SCALE)
-        b = report_for(spec, TEST_SCALE)
+        a = pipeline_report(spec, TEST_SCALE)
+        b = pipeline_report(spec, TEST_SCALE)
         assert a is not b
         assert len(cache) == 0
         assert len(cache.disk) == 0  # disabling tier 0 bypasses tier 1 too
@@ -160,7 +138,7 @@ class TestCacheTransparency:
 
     def test_fresh_flag_invalidates(self, cache):
         spec = workload_by_id(SPEC_ID)
-        report_for(spec, TEST_SCALE)
+        pipeline_report(spec, TEST_SCALE)
         entries = len(cache)
         assert entries == 1
         run_experiment("table4", scale=TEST_SCALE, fresh=True)

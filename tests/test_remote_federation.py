@@ -735,33 +735,6 @@ class TestWorkerWal:
         finally:
             supervisor.shutdown()
 
-    def test_legacy_auto_export_is_imported_once(self, pytorch, tmp_path):
-        source = DebloatStore(pytorch, OPTS)
-        for spec in pt_specs()[:2]:
-            source.admit(spec)
-        workdir = str(tmp_path / "shard-0")
-        # The layout older workers auto-exported after every mutation.
-        snapshots.write_snapshot(workdir, {"pytorch": source.export_state()})
-        supervisor = RemoteShardSupervisor(
-            "shard-0",
-            {
-                "scale": TEST_SCALE,
-                "archs": list(EngineConfig().archs),
-                "directory": workdir,
-            },
-        )
-        client = RemoteStoreClient(supervisor, "pytorch")
-        try:
-            image = payload_dumps(source.export_state())
-            assert payload_dumps(client.export_state()) == image
-            assert supervisor.recovery["legacy_imported"] == ["pytorch"]
-            kill_and_wait(supervisor)
-            assert payload_dumps(client.export_state()) == image
-            assert supervisor.recovery["snapshot_loaded"]
-            assert "legacy_imported" not in supervisor.recovery
-        finally:
-            supervisor.shutdown()
-
     def test_engine_puts_worker_dirs_under_the_durability_dir(
         self, tmp_path
     ):

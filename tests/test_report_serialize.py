@@ -23,8 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import serialize
+from repro.core.compact import Compactor
+from repro.core.cpu import FunctionLocator
 from repro.core.debloat import DebloatOptions
-from repro.core.locate import ElementDecision, LocateResult, RemovalReason
+from repro.core.locate import (
+    ElementDecision,
+    KernelLocator,
+    LocateResult,
+    RemovalReason,
+)
 from repro.core.report import (
     DebloatTiming,
     LibraryReduction,
@@ -36,7 +43,7 @@ from repro.utils.intervals import RangeSet
 from repro.workloads.metrics import RunMetrics
 from repro.workloads.spec import TABLE1_WORKLOADS, workload_by_id
 
-from tests.conftest import TEST_SCALE
+from tests.conftest import TEST_SCALE, build_small_library
 
 # -- strategies -------------------------------------------------------------------
 
@@ -251,39 +258,14 @@ class TestStableDigest:
         }
         assert len(digests) == len(TABLE1_WORKLOADS)
 
-    def test_locate_workers_is_identity_invariant(self):
-        """The fan-out knobs are normalized out: equal digests by design."""
-        assert serialize.stable_digest(
-            default_key(options=DebloatOptions(locate_workers=8))
-        ) == serialize.stable_digest(default_key())
-
-    def test_locate_workers_mode_is_identity_invariant(self):
-        """Fan-out *mode* is excluded from the key entirely, so digests of
-        entries persisted before the field existed keep matching."""
-        assert serialize.stable_digest(
-            default_key(
-                options=DebloatOptions(
-                    locate_workers=4, locate_workers_mode="process"
-                )
-            )
-        ) == serialize.stable_digest(default_key())
-        # The frozen options component carries no trace of the field.
-        for item in default_key()[9]:
-            assert item[0] != "locate_workers_mode"
-
     @settings(max_examples=40, deadline=None)
     @given(
         field_name=st.sampled_from(
             [
                 f.name
                 for f in dataclasses.fields(DebloatOptions)
-                # costs is perturbed separately; locate_workers and
-                # locate_workers_mode are deliberately NOT part of the
-                # identity (deterministic output for any worker count or
-                # fan-out mode).
-                if f.name not in (
-                    "costs", "locate_workers", "locate_workers_mode"
-                )
+                # costs is perturbed separately.
+                if f.name != "costs"
             ]
         )
     )
@@ -345,3 +327,50 @@ class TestStableDigest:
         assert framework_build_fingerprint(
             "pytorch", TEST_SCALE, archs=(70, 75)
         ) != framework_build_fingerprint("pytorch", TEST_SCALE)
+
+
+class TestShardPayloadRoundTrip:
+    """The per-library payloads store images carry (debloated bytes and
+    removal record, reattached to the reader's original library)."""
+
+    def _compacted(self):
+        lib = build_small_library()
+        gpu = KernelLocator().locate(lib, frozenset({"k_0_0"}), 75)
+        cpu = FunctionLocator().locate(lib, np.array([0, 1, 5]))
+        return lib, Compactor().compact(lib, cpu, gpu)
+
+    def test_sparsefile_roundtrip_exact(self):
+        lib, debloated = self._compacted()
+        payload = serialize.sparsefile_to_payload(debloated.lib.data)
+        rebuilt = serialize.sparsefile_from_payload(payload)
+        assert rebuilt == debloated.lib.data  # extents AND chunks
+        assert rebuilt.logical_size == debloated.lib.data.logical_size
+
+    def test_debloated_roundtrip(self):
+        lib, debloated = self._compacted()
+        payload = serialize.debloated_to_payload(debloated)
+        # The payload survives the binary container store images use.
+        payload = serialize.value_loads(
+            serialize.value_dumps(payload, serialize.STORE_KIND),
+            serialize.STORE_KIND,
+        )
+        rebuilt = serialize.debloated_from_payload(payload, lib)
+        assert rebuilt.lib.data == debloated.lib.data
+        assert rebuilt.original is lib
+        assert rebuilt.removed_cpu_ranges == debloated.removed_cpu_ranges
+        assert rebuilt.removed_gpu_ranges == debloated.removed_gpu_ranges
+        assert rebuilt.removed_elements == debloated.removed_elements
+        assert rebuilt.removed_functions == debloated.removed_functions
+        assert rebuilt.compacted_file_size == debloated.compacted_file_size
+        assert rebuilt.lib.tags.keys() == debloated.lib.tags.keys()
+        assert np.array_equal(
+            rebuilt.lib.tags["removed_function_mask"],
+            debloated.lib.tags["removed_function_mask"],
+        )
+
+    def test_mismatched_original_rejected(self):
+        lib, debloated = self._compacted()
+        other = build_small_library(soname="libother.so")
+        payload = serialize.debloated_to_payload(debloated)
+        with pytest.raises(Exception):
+            serialize.debloated_from_payload(payload, other)

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.debloat import Debloater, DebloatOptions
+from repro.core.debloat import DebloatOptions
 from repro.core.locate import KernelLocator
 from repro.errors import UsageError
 from repro.frameworks.catalog import get_framework
@@ -30,6 +30,22 @@ SPEC_IDS = [
 
 def specs():
     return [workload_by_id(wid) for wid in SPEC_IDS]
+
+
+def engine_union(framework, options, spec_list):
+    """Admit ``spec_list`` into a fresh uncached engine shard hosting
+    ``framework``; return the shard's union report and libraries."""
+    from repro.api import AdmitRequest, DebloatEngine, EngineConfig
+
+    config = EngineConfig(
+        scale=framework.scale, options=options, use_cache=False
+    )
+    with DebloatEngine(config) as engine:
+        shard = engine.federation.ensure_shard(framework)
+        for spec in spec_list:
+            engine.admit(AdmitRequest(spec=spec))
+        report = engine.report(framework.name).union_report
+        return report, shard.store.debloated_libraries()
 
 
 def assert_same_libraries(a: dict, b: dict) -> None:
@@ -63,11 +79,8 @@ class TestDeltaAdmission:
         assert len(second.recompacted) < len(store.results[0].recompacted)
 
     def test_incremental_matches_one_shot_union(self, store, pytorch):
-        debloater = Debloater(pytorch, OPTS)
-        debloater.debloat_many(specs())
-        assert_same_libraries(
-            store.debloated_libraries(), debloater.debloated_libraries
-        )
+        _, one_shot = engine_union(pytorch, OPTS, specs())
+        assert_same_libraries(store.debloated_libraries(), one_shot)
 
     def test_order_independence(self, pytorch):
         forward = DebloatStore(pytorch, OPTS)
@@ -80,10 +93,9 @@ class TestDeltaAdmission:
             forward.debloated_libraries(), backward.debloated_libraries()
         )
 
-    def test_report_matches_debloat_many(self, store, pytorch):
+    def test_report_matches_engine_union(self, store, pytorch):
         report = store.report()
-        debloater = Debloater(pytorch, OPTS)
-        expected = debloater.debloat_many(specs())
+        expected, _ = engine_union(pytorch, OPTS, specs())
         assert report.workload_ids == expected.workload_ids
         assert report.marginal_new_kernels == expected.marginal_new_kernels
         assert report.libraries == expected.libraries
@@ -141,9 +153,7 @@ class TestDeltaLocateEquivalence:
 
 class TestSaturationSeries:
     def test_ordering_and_determinism(self, pytorch):
-        reports = [
-            Debloater(pytorch, OPTS).debloat_many(specs()) for _ in range(2)
-        ]
+        reports = [engine_union(pytorch, OPTS, specs())[0] for _ in range(2)]
         series_a = reports[0].saturation_series()
         series_b = reports[1].saturation_series()
         assert series_a == series_b  # deterministic across runs
@@ -246,15 +256,12 @@ class TestSnapshotsAndConcurrency:
 
     def test_parallel_delta_compaction(self, pytorch):
         serial = DebloatStore(pytorch, OPTS)
-        fanned = DebloatStore(
-            pytorch,
-            DebloatOptions(runtime_comparison_top_n=0, locate_workers=4),
-        )
+        other = DebloatStore(pytorch, OPTS)
         for s in specs():
             serial.admit(s)
-            fanned.admit(s)
+            other.admit(s)
         assert_same_libraries(
-            serial.debloated_libraries(), fanned.debloated_libraries()
+            serial.debloated_libraries(), other.debloated_libraries()
         )
 
 
